@@ -10,7 +10,9 @@ behind (``worker`` p50 four times its usual value).
 
 * Phase A — closed loop: the first half of the stream is written as fast
   as TCP backpressure allows, then a ``flush`` query waits for it to be
-  applied.  No queries run.
+  applied.  No queries run.  It is run ``INGEST_REPEATS`` times, each on
+  a fresh server and an empty directory, and the median rate counts; the
+  last of these servers goes on to phases B and C.
 * Phase B — open loop for ``seconds``: the next ``EVENT_RATE x seconds``
   events are sent at ``EVENT_RATE`` events/s in ``CHUNK``-event writes
   while ``QUERY_RATE`` queries/s are pipelined on the query connection
@@ -25,6 +27,9 @@ behind (``worker`` p50 four times its usual value).
   ``evaluate_all`` reply is correct; ``RESUME_REPEATS`` crash-and-resume
   cycles, the last one ending with a clean shutdown.  The rest of the
   stream is not sent.
+
+The server subprocess is pinned to one CPU and the load generator to
+another (where there are two), as the server is one thread.
 
 The ``evaluate_all`` replies after Phase B and after every resume must be
 bit-identical to the in-process reference; nothing is compared inside a
@@ -50,6 +55,8 @@ QUERY_RATE = 10
 EVALUATE_ALL_EVERY = 10
 #: Events per write in the closed-loop phase.
 PHASE_A_WRITE = 256
+#: Phase A runs per serve part (fresh server each); the median counts.
+INGEST_REPEATS = 5
 #: Batches in the WAL after the newest snapshot at each crash.
 REPLAY_BATCHES = 32
 #: Crash-and-resume cycles per run; the median counts.
@@ -58,6 +65,10 @@ RESUME_REPEATS = 3
 TIMEOUT_S = 60.0
 
 _CLOCK_TICKS = os.sysconf("SC_CLK_TCK")
+#: The server runs on the last allowed CPU and the load generator on the
+#: first, so neither migrates onto the other's core mid-phase.
+_CPUS = sorted(os.sched_getaffinity(0))
+SERVER_CPU, LOADGEN_CPU = _CPUS[-1], _CPUS[0]
 
 
 class Server:
@@ -102,6 +113,7 @@ class Server:
                 stdout=asyncio.subprocess.PIPE,
                 stderr=log,
             )
+        os.sched_setaffinity(self.process.pid, {SERVER_CPU})
         line = await asyncio.wait_for(self.process.stdout.readline(), TIMEOUT_S)
         elapsed = time.perf_counter() - self.started
         text = line.decode().strip()
@@ -248,8 +260,26 @@ async def run_serve(
     """Phases A, B and C against one durable directory; see the module doc.
 
     ``reference(n)`` is the expected ``evaluate_all`` fingerprint after the
-    first ``n`` events of ``events``.
+    first ``n`` events of ``events``.  This process runs on
+    :data:`LOADGEN_CPU` meanwhile.
     """
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {LOADGEN_CPU})
+    try:
+        return await _run_serve(root, workdir, events, n_workers, reference, seconds, trace)
+    finally:
+        os.sched_setaffinity(0, allowed)
+
+
+async def _run_serve(
+    root: Path,
+    workdir: Path,
+    events,
+    n_workers: int,
+    reference: Callable[[int], dict],
+    seconds: float,
+    trace: bool,
+) -> dict:
     directory = workdir / "durable"
     trace_files = (
         (workdir / "server-summary.json", workdir / "server-trace.json") if trace else None
@@ -281,15 +311,8 @@ async def run_serve(
     }
     result: dict = {"counts": counts}
 
-    server = Server(root, directory, trace_files)
-    connections: list[Connection] = []
-    try:
-        result["spawn_s"] = await server.start()
-        ingest = await Connection.open(server.port)
-        connections.append(ingest)
-        query = await Connection.open(server.port)
-        connections.append(query)
-        # Phase A: closed loop.
+    async def ingest_phase(server: Server, ingest: Connection) -> None:
+        """Phase A on ``server``: closed-loop writes, then a flush."""
         cpu = server.cpu_seconds()
         start = time.perf_counter()
         for chunk in phase_a:
@@ -297,10 +320,36 @@ async def run_serve(
             await ingest.writer.drain()
         flushed = await ingest.ask({"query": "flush"})
         elapsed = time.perf_counter() - start
-        result["ingest_events_per_s"] = n_phase_a / elapsed
-        result["busy_a"] = (server.cpu_seconds() - cpu) / elapsed
+        result["ingest_events_per_s"].append(n_phase_a / elapsed)
+        result["busy_a"].append((server.cpu_seconds() - cpu) / elapsed)
         counts["attempted"] += n_phase_a + 1
         counts["mismatches"] += flushed.get("applied") != n_phase_a
+
+    result.update(spawn_s=[], ingest_events_per_s=[], busy_a=[])
+    # Untraced Phase A repeats on throwaway servers (the traced run has
+    # one server, so its totals cover exactly one Phase A).
+    for repeat in range(INGEST_REPEATS - 1 if not trace else 0):
+        server = Server(root, workdir / f"ingest-{repeat}", None)
+        try:
+            result["spawn_s"].append(await server.start())
+            ingest = await Connection.open(server.port)
+            try:
+                await ingest_phase(server, ingest)
+            finally:
+                await ingest.close()
+        finally:
+            await server.kill()
+
+    server = Server(root, directory, trace_files)
+    connections: list[Connection] = []
+    try:
+        result["spawn_s"].append(await server.start())
+        ingest = await Connection.open(server.port)
+        connections.append(ingest)
+        query = await Connection.open(server.port)
+        connections.append(query)
+        # Phase A: closed loop.
+        await ingest_phase(server, ingest)
 
         # Phase B: open loop.
         cpu = server.cpu_seconds()

@@ -2,7 +2,7 @@
 
 Usage (from the repository root)::
 
-    python3 perfbench/run.py --workload batch-dense --seed 1 --seconds 16 --trace 0
+    python3 perfbench/run.py --workload batch-dense --seed 1 --seconds 20 --trace 0
 
 Every workload runs the same two parts on its own inputs (see
 ``perfbench/README.md``): the batch part times ``evaluate_all`` in this
@@ -36,11 +36,22 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORKLOADS = ("batch-dense", "serve-durable")
 #: Set-up samples per run (this process and fresh ones); the median counts.
-SETUP_REPEATS = 3
+SETUP_REPEATS = 4
 #: Share of ``--seconds`` spent on warm batch calls; Phase B of the serve
 #: part gets the whole ``--seconds``, because its tail latencies need the
 #: most samples.
 BATCH_SHARE = 1 / 3
+#: End-to-end metrics printed in the table and kept in ``result.json``
+#: but left out of the JSON result line: in sets of ten runs of the same
+#: code their quartile spread reached 0.22-0.69 of the median, past or
+#: too close to the 25% bound for a gate (see README.md).
+UNGATED = (
+    "first_evaluate_s",
+    "worker_query_p50_ms",
+    "worker_query_p90_ms",
+    "evaluate_all_query_p50_ms",
+    "resume_s",
+)
 #: Self-time metrics that partition one traced ``evaluate_all``.
 ESTIMATOR_LAYERS = (
     "m_worker.self_s",
@@ -83,9 +94,14 @@ def probe_setup(workload: str, seed: int) -> tuple[list[float], list[float]]:
     ``evaluate_all``, as a one-shot ``repro-crowd evaluate`` would.
     This process is the last sample of both, so the probes number one
     fewer than :data:`SETUP_REPEATS`.
+
+    One more probe runs first and is not counted: on a virtual machine
+    whose second core has been idle, the first process to use both BLAS
+    threads pays up to 0.9 s extra inside its first ``evaluate_all``,
+    which would make the figure depend on what ran before the benchmark.
     """
     prepares, firsts = [], []
-    for _ in range(SETUP_REPEATS - 1):
+    for index in range(SETUP_REPEATS):
         start = time.perf_counter()
         probe = subprocess.Popen(
             [sys.executable, str(HERE / "run.py"), "--probe-setup",
@@ -100,16 +116,17 @@ def probe_setup(workload: str, seed: int) -> tuple[list[float], list[float]]:
         if probe.wait(timeout=120) != 0 or ready.strip() != b"ready":
             raise RuntimeError("set-up probe failed")
         firsts.append(float(first))
-    return prepares, firsts
+    return prepares[1:], firsts[1:]
 
 
 def spawn_samples(workdir: Path) -> list[float]:
-    """Server spawn-to-listening times on empty directories."""
+    """Server spawn-to-listening times on empty directories, as many as
+    the serve part's own Phase A servers leave to :data:`SETUP_REPEATS`."""
     import loadgen
 
     return [
         asyncio.run(loadgen.spawn_probe(ROOT, workdir / f"probe-{index}"))
-        for index in range(SETUP_REPEATS - 1)
+        for index in range(max(0, SETUP_REPEATS - loadgen.INGEST_REPEATS))
     ]
 
 
@@ -135,7 +152,11 @@ def end_to_end(workload: str, setup: dict, batch: dict, serve: dict) -> dict:
             "MB",
             1,
         ),
-        "ingest_events_per_s": (serve["ingest_events_per_s"], "events/s", 1),
+        "ingest_events_per_s": (
+            statistics.median(serve["ingest_events_per_s"]),
+            "events/s",
+            len(serve["ingest_events_per_s"]),
+        ),
         "worker_query_p50_ms": (
             1e3 * statistics.median(latencies["worker"]), "ms", len(latencies["worker"])
         ),
@@ -233,12 +254,12 @@ def per_layer(batch: dict, client: dict, serve: dict) -> dict:
             resume.get("incremental.apply_batch", {}).get("parents", {}).get("durable.resume", 0),
             "count",
         ),
-        "server.busy_ratio_a": (serve["busy_a"], "ratio"),
+        "server.busy_ratio_a": (statistics.median(serve["busy_a"]), "ratio"),
         "server.busy_ratio_b": (serve["busy_b"], "ratio"),
         "server.busy_ratio_c": (serve["busy_c"], "ratio"),
         "loadgen.late_max_ms": (1e3 * max(event_late), "ms"),
         "loadgen.late_p90_ms": (1e3 * _quantile(event_late, 0.9), "ms"),
-        "traced.ingest_events_per_s": (serve["ingest_events_per_s"], "events/s"),
+        "traced.ingest_events_per_s": (serve["ingest_events_per_s"][0], "events/s"),
     }
 
 
@@ -263,7 +284,9 @@ def health(serve: dict) -> dict:
         "event_interval_ms": 1e3 * loadgen.CHUNK / loadgen.EVENT_RATE,
         "query_interval_ms": 1e3 / loadgen.QUERY_RATE,
         "phase_b_drain_s": serve["phase_b_drain_s"],
-        "server_busy_ratio": {phase: serve[f"busy_{phase}"] for phase in "abc"},
+        "server_busy_ratio": {
+            "a": statistics.median(serve["busy_a"]), "b": serve["busy_b"], "c": serve["busy_c"]
+        },
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
@@ -328,7 +351,7 @@ def run(args: argparse.Namespace) -> int:
         )
     )
     if not trace:
-        setup["spawn_s"].append(serve["spawn_s"])
+        setup["spawn_s"] += serve["spawn_s"]
     for leftover in workdir.iterdir():
         if leftover.is_dir():
             shutil.rmtree(leftover)
@@ -340,6 +363,7 @@ def run(args: argparse.Namespace) -> int:
     )
     attempted = batch["attempted"] + counts["attempted"]
     report = health(serve)
+    ungated: dict = {}
     if trace:
         metrics = per_layer(batch, client_totals, serve)
         rows = [(name, value, unit, "") for name, (value, unit) in metrics.items()]
@@ -350,10 +374,16 @@ def run(args: argparse.Namespace) -> int:
         )
     else:
         measured = end_to_end(args.workload, setup, batch, serve)
-        metrics = {name: (value, unit) for name, (value, unit, _) in measured.items()}
+        metrics = {
+            name: (value, unit)
+            for name, (value, unit, _) in measured.items()
+            if name not in UNGATED
+        }
         rows = [(name, value, unit, samples) for name, (value, unit, samples) in measured.items()]
+        ungated = {name: measured[name][0] for name in UNGATED}
     for name, value, unit, samples in rows:
-        print(f"{name:34s} {value:14.6g} {unit:9s} {samples}")
+        gate = " (not gated)" if name in UNGATED else ""
+        print(f"{name:34s} {value:14.6g} {unit:9s} {samples}{gate}")
     print("health " + json.dumps(report))
     result = {
         "correct": failed == 0,
@@ -367,6 +397,8 @@ def run(args: argparse.Namespace) -> int:
         "batch_mismatches": batch["mismatches"],
         "setup_samples": setup,
         "resume_s": serve["resume_s"],
+        "ingest_events_per_s": serve["ingest_events_per_s"],
+        "ungated_metrics": ungated,
         "query_latencies_s": serve["latencies"],
         "evaluate_walls_s": batch["walls"],
     }
@@ -379,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=WORKLOADS, required=True)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=16.0)
+    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--probe-setup", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
