@@ -6,9 +6,8 @@ three ways and compares cost:
 
 * ``singleton``  — ``add_response`` per event (one derived-cache
   invalidation pass per statistic-changing event);
-* ``batched``    — ``apply_batch`` over fixed micro-batches (one
-  invalidation pass per batch; grouped per-worker-row storage writes while
-  no count matrix is materialized);
+* ``batched``    — ``apply_batch`` over fixed micro-batches (one net
+  delta and one invalidation pass per batch);
 * ``session``    — the full asyncio path: ``StreamSession`` submit/flush
   with queue coalescing (what ``repro-crowd ingest`` runs).
 
@@ -46,6 +45,17 @@ baseline.  Every count must be bit-identical to the batch build;
 where the entry is marked ``vacuous`` and the gate is skipped (the PR 8
 convention for parallelism gates).  ``--trajectory`` appends a
 ``stream-multiwriter`` entry.
+
+``--materialized`` adds the materialized-counts scenario: the stream is
+ingested in micro-batches with an ``evaluate_all`` every
+:data:`MATERIALIZED_EVALUATE_EVERY` batches, so after the first call every
+batch patches the live count matrices — the path a durable server takes
+once its first snapshot or query has built them.  Only the
+``apply_batch`` calls are timed (best of 3).  The final estimates must be
+bit-identical to the batch build; ``--trajectory`` appends a
+``stream-ingest-materialized`` events/s entry, and a drop below the newest
+comparable entry by more than :data:`MATERIALIZED_TREND_TOLERANCE` only
+warns.
 
 Usage::
 
@@ -213,6 +223,110 @@ def run(
         "ingest_speedup": speedup,
         "bit_identical": identical,
     }
+
+
+#: The materialized-counts scenario evaluates after every this many batches.
+MATERIALIZED_EVALUATE_EVERY = 4
+
+#: Warn (never fail) when materialized ingest falls below the newest
+#: comparable trajectory entry by more than this factor.
+MATERIALIZED_TREND_TOLERANCE = 1.25
+
+
+def run_materialized(
+    n_events: int,
+    n_workers: int,
+    n_tasks: int,
+    seed: int,
+    batch_size: int,
+    backend: str = "dense",
+    repeats: int = 3,
+) -> dict:
+    """Time ``apply_batch`` while the backend's count matrices are live.
+
+    See the module docstring.  Reports best-of-``repeats`` apply seconds
+    and the events/s they give; ``materialized`` records that the count
+    matrices existed for the batches after the first evaluation.
+    """
+    stream = make_stream(n_events, n_workers, n_tasks, seed)
+    batches = [
+        stream[offset : offset + batch_size]
+        for offset in range(0, len(stream), batch_size)
+    ]
+    print(
+        f"materialized: {len(stream)} events over {n_workers} workers x "
+        f"{n_tasks} tasks ({backend} backend, micro-batch {batch_size}, "
+        f"evaluate_all every {MATERIALIZED_EVALUATE_EVERY} batches)"
+    )
+    best = float("inf")
+    for _ in range(repeats):
+        evaluator = IncrementalEvaluator(3, 1, backend=backend)
+        applying = 0.0
+        materialized = True
+        for index, batch in enumerate(batches):
+            if index >= MATERIALIZED_EVALUATE_EVERY:
+                materialized = materialized and (
+                    evaluator._backend is None
+                    or evaluator._backend._common is not None
+                )
+            start = time.perf_counter()
+            evaluator.apply_batch(batch)
+            applying += time.perf_counter() - start
+            if index % MATERIALIZED_EVALUATE_EVERY == MATERIALIZED_EVALUATE_EVERY - 1:
+                evaluator.estimate_all()
+        best = min(best, applying)
+    estimates = evaluator.estimate_all()
+    reference = {
+        estimate.worker: estimate
+        for estimate in MWorkerEstimator(backend="dict").evaluate_all(
+            evaluator.matrix
+        )
+        if estimate.n_tasks > 0
+    }
+    identical = set(estimates) == set(reference) and all(
+        _identical(estimates[w], reference[w]) for w in reference
+    )
+    rate = n_events / best if best > 0 else float("inf")
+    print(
+        f"  apply_batch: {best:7.3f}s  ({rate:9.0f} events/s)   "
+        f"materialized: {materialized}   bit-identical: {identical}"
+    )
+    return {
+        "scenario": "stream-ingest-materialized",
+        "n_events": n_events,
+        "n_workers": n_workers,
+        "n_tasks": n_tasks,
+        "batch_size": batch_size,
+        "backend": backend,
+        "evaluate_every": MATERIALIZED_EVALUATE_EVERY,
+        "apply_seconds": best,
+        "events_per_second": rate,
+        "materialized": materialized,
+        "bit_identical": identical,
+    }
+
+
+def _materialized_trend_warning(path: str, result: dict, smoke: bool) -> str | None:
+    """Warn-only trend check against the newest comparable entry."""
+    with open(path, "r", encoding="utf-8") as handle:
+        trajectory = json.load(handle).get("trajectory", [])
+    keys = ("scenario", "n_events", "n_workers", "n_tasks", "batch_size", "backend")
+    for entry in reversed(trajectory):
+        if entry.get("smoke") == smoke and all(
+            entry.get(key) == result[key] for key in keys
+        ):
+            floor = entry["events_per_second"] / MATERIALIZED_TREND_TOLERANCE
+            if result["events_per_second"] < floor:
+                warning = (
+                    f"materialized ingest {result['events_per_second']:.0f} "
+                    f"events/s is below {floor:.0f} (the newest comparable "
+                    f"entry, {entry['events_per_second']:.0f} events/s, over "
+                    f"{MATERIALIZED_TREND_TOLERANCE}x)"
+                )
+                print(f"WARNING (warn-only): {warning}")
+                return warning
+            return None
+    return None
 
 
 def _build_durable_dir(
@@ -594,9 +708,16 @@ def main(argv: list[str] | None = None) -> int:
         "single-core runners, where the entry is marked vacuous)",
     )
     parser.add_argument(
+        "--materialized", action="store_true",
+        help="also run the materialized-counts scenario: apply_batch events/s "
+        "with evaluate_all every few batches (bit-identity gated, events/s "
+        "warn-only)",
+    )
+    parser.add_argument(
         "--trajectory", default=None,
         help="trend file (BENCH_agreement.json) to append the stream-resume, "
-        "stream-shards and stream-multiwriter entries to",
+        "stream-shards, stream-multiwriter and stream-ingest-materialized "
+        "entries to",
     )
     args = parser.parse_args(argv)
     if args.smoke:
@@ -653,6 +774,21 @@ def main(argv: list[str] | None = None) -> int:
         result["with_writers"] = writers_result
         if args.trajectory:
             _append_trajectory(args.trajectory, writers_result, args.smoke)
+    materialized_result = None
+    if args.materialized:
+        materialized_result = run_materialized(
+            args.events, args.workers, args.tasks, args.seed,
+            args.batch_size,
+            backend="dense" if args.backend in ("dict", "auto") else args.backend,
+        )
+        result["materialized"] = materialized_result
+        if args.trajectory:
+            warning = _materialized_trend_warning(
+                args.trajectory, materialized_result, args.smoke
+            )
+            if warning is not None:
+                materialized_result["trend_warning"] = warning
+            _append_trajectory(args.trajectory, materialized_result, args.smoke)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             json.dump(result, handle, indent=2)
@@ -701,6 +837,15 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 1
+    if materialized_result is not None and not (
+        materialized_result["bit_identical"] and materialized_result["materialized"]
+    ):
+        print(
+            "FAIL: materialized-counts ingest disagrees with the batch build "
+            "(or never materialized its counts)",
+            file=sys.stderr,
+        )
+        return 1
     if writers_result is not None:
         if not writers_result["bit_identical"]:
             print(

@@ -112,11 +112,11 @@ reference mode.
 
 The *streaming* column covers the delta-update protocol the incremental
 evaluator and the async ingestion subsystem (:mod:`repro.serve`) drive:
-O(row) ``apply_response`` singleton deltas plus the micro-batched
-``apply_responses`` (one derived-cache invalidation pass per batch, with
-grouped per-worker-row storage writes while no count matrix is
-materialized) and the O(added ids) ``extend`` growth for worker/task ids
-unseen at construction.
+the micro-batched ``apply_responses`` (one net delta per batch: last-wins
+cell writes, block-product patches of the materialized count matrices and
+one derived-cache invalidation pass; ``apply_response`` is its one-event
+form) and the O(added ids) ``extend`` growth for worker/task ids unseen
+at construction.
 
 The *durability* column describes how a crashed durable session
 (:mod:`repro.serve.durable`) gets its statistics back.  The vectorized

@@ -62,19 +62,16 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from repro.data.dense_backend import PAIR_ID_SHIFT
+
 __all__ = [
     "PAIR_ID_SHIFT",
+    "decode_pair_ids",
     "encode_pair_ids",
     "WorkerFootprint",
     "DependencyLedger",
     "ObserverDependencyTracker",
 ]
-
-# Pair (a, b) with a < b is encoded as the int64 ``a << PAIR_ID_SHIFT | b``.
-# Worker ids are bounded far below 2**31 in practice (the dense count
-# matrices would not fit in memory long before), so the encoding is exact.
-PAIR_ID_SHIFT = 32
-
 
 def encode_pair_ids(pairs: Iterable[tuple[int, int]]) -> np.ndarray:
     """Sorted-unique int64 ids for ``(a, b)`` worker pairs (order-free)."""
@@ -86,7 +83,7 @@ def encode_pair_ids(pairs: Iterable[tuple[int, int]]) -> np.ndarray:
     return np.unique(np.asarray(encoded, dtype=np.int64))
 
 
-def _decode_pair_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def decode_pair_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint arrays ``(a, b)`` for encoded pair ids."""
     return ids >> PAIR_ID_SHIFT, ids & ((1 << PAIR_ID_SHIFT) - 1)
 
@@ -210,18 +207,25 @@ class DependencyLedger:
             )
         return self._flat
 
-    def invalidated(self, changed_pairs: Iterable[tuple[int, int]]) -> set[int]:
+    def invalidated(
+        self, changed_pairs: np.ndarray | Iterable[tuple[int, int]]
+    ) -> set[int]:
         """Recorded workers whose estimate a set of changed pairs invalidates.
 
-        One vectorized pass: an endpoint-membership test for the
+        ``changed_pairs`` is an int64 array of encoded pair ids (what the
+        backends' batched apply returns) or an iterable of ``(a, b)``
+        pairs.  One vectorized pass: an endpoint-membership test for the
         ``touch_target`` flags, one ``np.isin`` of all recorded probe pairs
         against the batch's encoded changed-pair array, and one boolean
         owner-by-endpoint intersection for the support sets.
         """
-        keys = encode_pair_ids(changed_pairs)
+        if isinstance(changed_pairs, np.ndarray):
+            keys = changed_pairs.astype(np.int64, copy=False)
+        else:
+            keys = encode_pair_ids(changed_pairs)
         if keys.size == 0 or not self._footprints:
             return set()
-        first, second = _decode_pair_ids(keys)
+        first, second = decode_pair_ids(keys)
         endpoints = np.unique(np.concatenate([first, second]))
         workers, touch, pairs_flat, pairs_owner, support_flat, support_owner = (
             self._flat_views()
@@ -265,7 +269,7 @@ class DependencyLedger:
             new_id = old_to_new.get(old_id)
             if new_id is None:
                 continue
-            a, b = _decode_pair_ids(fp.pairs)
+            a, b = decode_pair_ids(fp.pairs)
             kept_pairs = [
                 (old_to_new[int(x)], old_to_new[int(y)])
                 for x, y in zip(a, b)
@@ -378,6 +382,10 @@ class ObserverDependencyTracker:
         self._supports: dict[int, set[int]] = {}
         self._pair_readers: dict[tuple[int, int], set[int]] = {}
         self._support_members: dict[int, set[int]] = {}
+
+    def __len__(self) -> int:
+        """Number of workers with recorded dependencies."""
+        return len(self._pair_deps)
 
     def begin(self, worker: int) -> None:
         """Start recording reads on behalf of ``worker``'s estimate."""

@@ -58,28 +58,45 @@ Delta-updated statistics
 ------------------------
 
 The evaluator maintains a vectorized statistics backend alongside the
-response matrix (unless ``backend="dict"``): each ingested response patches
-the cached pairwise common/agreement count matrices, bitset rows/planes and
-vote table in O(co-attempters) time, so recomputation after a burst of
+response matrix (unless ``backend="dict"``): each ingested micro-batch
+patches the cached pairwise common/agreement count matrices, bitset
+rows/planes and vote table in place, so recomputation after a burst of
 updates pays only for the affected workers' covariance assembly, never for
 rebuilding the statistics from scratch.  Every backend of the
-``backend=`` knob — dense, sparse, bitset — implements the same
-``apply_response`` delta update, so streaming works identically under the
-cost-based ``"auto"`` choice whichever backend it lands on.
+``backend=`` knob — dense, sparse, bitset — inherits the same
+``apply_responses`` net-delta update, so streaming works identically under
+the cost-based ``"auto"`` choice whichever backend it lands on.
 
 Micro-batched ingestion
 -----------------------
 
 :meth:`IncrementalEvaluator.apply_batch` is the batched form the async
-ingestion subsystem (:mod:`repro.serve`) drives: one backend
-``apply_responses`` call per micro-batch (a single derived-cache
-invalidation pass, grouped per-worker-row storage writes while no count
-matrix is materialized), unseen worker/task ids grown once per batch via
-the delta extension path (no backend rebuild —
-:attr:`IncrementalEvaluator.backend_rebuilds` counts the exceptions), and
-the dependency-tracked cache invalidation run over the batch's changed
-pairs as a set.  Results are bit-identical to per-event ingestion for any
-chopping of the stream; see the streaming determinism contract in
+ingestion subsystem (:mod:`repro.serve`) drives.  A micro-batch stays an
+array from validation to invalidation:
+
+1. the batch becomes one ``(k, 3)`` int64 array, validated with array
+   min/max (unseen worker/task ids first grow the id space once, through
+   the delta extension path — no backend rebuild;
+   :attr:`IncrementalEvaluator.backend_rebuilds` counts the exceptions);
+2. one lean loop over the matrix dicts writes the records and reads each
+   one's previous label
+   (:meth:`~repro.data.response_matrix.ResponseMatrix.upsert_records`);
+3. the backend applies the batch as one net delta
+   (:meth:`~repro.data.dense_backend.AgreementBackendBase.apply_responses`:
+   last-wins cell writes, integer block-product patches of the
+   materialized count matrices, one derived-cache invalidation pass) and
+   returns the batch's changed-pair ids; the dict path computes the same
+   ids from the matrix;
+4. the ids go to :meth:`~repro.core.deps.DependencyLedger.invalidated` as
+   one int64 array (the per-read observer is probed only while it holds a
+   worker).
+
+The changed pairs follow the per-event rule — a statistic-changing event
+``(w, t)`` changes ``(w, u)`` for every other worker ``u`` holding a
+response on ``t`` at that point of the stream — so the invalidated set
+and ``n_changed`` equal what per-event ingestion reports, and the served
+estimates are bit-identical to per-event ingestion for any chopping of
+the stream; see the streaming determinism contract in
 :mod:`repro.core.agreement`.
 """
 
@@ -95,19 +112,20 @@ from repro.exceptions import (
     DataValidationError,
     InsufficientDataError,
 )
-from repro.core.agreement import AgreementStatistics, pair_key
+from repro.core.agreement import AgreementStatistics
 from repro.core.deps import (
     DependencyLedger,
     ObserverDependencyTracker,
-    WorkerFootprint,
+    decode_pair_ids,
 )
 from repro.core.m_worker import MWorkerEstimator
 from repro.data.dense_backend import (
     AgreementBackendBase,
     auto_backend_choice,
+    changed_pair_ids,
     resolve_backend,
 )
-from repro.data.response_matrix import ResponseMatrix
+from repro.data.response_matrix import UNANSWERED, ResponseMatrix
 from repro.types import (
     ConfidenceInterval,
     EstimateStatus,
@@ -349,39 +367,15 @@ class IncrementalEvaluator:
             self._backend = resolve_backend(self._matrix, self._backend_choice)
             self._backend_rebuilds += 1
 
-    def _auto_extend_for(self, records: list[tuple[int, int, int]]) -> None:
-        """Grow the id space to cover any unseen worker/task ids (one pass)."""
-        max_worker = max(record[0] for record in records)
-        max_task = max(record[1] for record in records)
-        additional_workers = max(0, max_worker + 1 - self._matrix.n_workers)
-        additional_tasks = max(0, max_task + 1 - self._matrix.n_tasks)
-        if additional_workers or additional_tasks:
-            self._grow(additional_workers, additional_tasks)
-
     def add_response(self, worker: int, task: int, label: int) -> None:
         """Ingest one response and invalidate exactly the affected caches.
 
-        Ids unseen at construction are routed through the delta growth path
-        of :meth:`extend_tasks` / :meth:`extend_workers` first (no backend
-        rebuild), so a live stream can outgrow the constructed dimensions.
+        A one-record :meth:`apply_batch`: ids unseen at construction are
+        routed through the delta growth path of :meth:`extend_tasks` /
+        :meth:`extend_workers` first (no backend rebuild), so a live stream
+        can outgrow the constructed dimensions.
         """
-        if worker >= self._matrix.n_workers or task >= self._matrix.n_tasks:
-            if worker >= 0 and task >= 0:
-                self._auto_extend_for([(worker, task, label)])
-        previous = self._matrix.response(worker, task)
-        co_attempters = [
-            other for other in self._matrix.workers_of(task) if other != worker
-        ]
-        self._matrix.add_response(worker, task, label)
-        if self._backend is not None:
-            self._backend.apply_response(worker, task, label, previous)
-        self._responses_seen += 1
-        if previous is not None and previous == label:
-            return  # re-affirmed response: no statistic changed, caches stay
-        self._invalidate(worker)
-        changed = [pair_key(worker, other) for other in co_attempters]
-        for reader in self._readers_of(changed):
-            self._invalidate(reader)
+        self.apply_batch([(worker, task, label)])
 
     def apply_batch(
         self,
@@ -390,16 +384,17 @@ class IncrementalEvaluator:
     ) -> BatchApplyStats:
         """Ingest one micro-batch of ``(worker, task, label)`` records.
 
-        Bit-identical to calling :meth:`add_response` per record (the
-        backend replays the same deltas in the same order; the
-        estimator-facing counts are equal, and recomputation is
-        deterministic from the counts), but the bookkeeping is paid per
-        batch, not per event: the backend invalidates its derived caches
-        once (and takes its grouped per-row storage path while no count
-        matrix is materialized), unseen ids grow the id space once, and the
-        dependency-tracked cache invalidation runs over the batch's changed
-        pairs as a set.  Returns the per-batch stats the streaming session
-        reports.
+        Bit-identical to ingesting the records one at a time, with the
+        bookkeeping paid per batch: the batch is validated with array
+        min/max (unseen ids first grow the id space once when
+        ``auto_extend`` is on), the matrix is written and the previous
+        labels read in one lean loop, the backend applies one net delta
+        (:meth:`~repro.data.dense_backend.AgreementBackendBase.apply_responses`)
+        and returns the batch's changed-pair ids, and the dependency-tracked
+        invalidation runs once over that id array.  Validation happens
+        before anything is written, so a rejected batch leaves the
+        evaluator untouched.  Returns the per-batch stats the streaming
+        session reports.
 
         Partition-scoped interleaving is safe: multi-writer sessions
         (:mod:`repro.serve.multiwriter`) call this with batches from
@@ -411,53 +406,47 @@ class IncrementalEvaluator:
         order-preserving interleaving accumulates the same matrix and
         serves the same bits.
         """
-        batch = [(int(w), int(t), int(label)) for w, t, label in records]
-        if not batch:
+        if not isinstance(records, (list, tuple, np.ndarray)):
+            records = list(records)
+        if len(records) == 0:
             return BatchApplyStats(0, 0, frozenset(), 0, 0)
-        if auto_extend and all(w >= 0 and t >= 0 for w, t, _ in batch):
-            self._auto_extend_for(batch)
-        # Validate the WHOLE batch before mutating anything: a mid-batch
-        # failure after partial application would leave the matrix and the
-        # statistics backend divergent (silently wrong estimates for any
-        # caller that catches the error and continues).  With every id and
-        # label pre-checked here, neither the matrix writes nor the
-        # backend's apply_responses below can fail, so the batch applies
-        # atomically.
-        for worker, task, label in batch:
-            if not (0 <= worker < self._matrix.n_workers):
+        batch = np.asarray(records, dtype=np.int64)
+        if batch.ndim != 2 or batch.shape[1] != 3:
+            raise DataValidationError(
+                "records must be (worker, task, label) triples"
+            )
+        low = batch.min(axis=0).tolist()
+        high = batch.max(axis=0).tolist()
+        grow_workers = high[0] + 1 - self._matrix.n_workers
+        grow_tasks = high[1] + 1 - self._matrix.n_tasks
+        if auto_extend and min(low[:2]) >= 0 and max(grow_workers, grow_tasks) > 0:
+            self._grow(max(0, grow_workers), max(0, grow_tasks))
+        bounds = (self._matrix.n_workers, self._matrix.n_tasks, self._matrix.arity)
+        for name, column, lowest, highest, bound in zip(
+            ("worker id", "task id", "label"), batch.T, low, high, bounds
+        ):
+            if lowest < 0 or highest >= bound:
+                bad = column[(column < 0) | (column >= bound)]
                 raise DataValidationError(
-                    f"worker id {worker} out of range "
-                    f"[0, {self._matrix.n_workers})"
+                    f"{name} {int(bad[0])} out of range [0, {bound})"
                 )
-            if not (0 <= task < self._matrix.n_tasks):
-                raise DataValidationError(
-                    f"task id {task} out of range [0, {self._matrix.n_tasks})"
-                )
-            if not (0 <= label < self._matrix.arity):
-                raise DataValidationError(
-                    f"label {label} out of range [0, {self._matrix.arity})"
-                )
-        events: list[tuple[int, int, int, int | None]] = []
-        changed_pairs: set[tuple[int, int]] = set()
-        changed_workers: set[int] = set()
-        n_changed = 0
-        for worker, task, label in batch:
-            previous = self._matrix.response(worker, task)
-            if previous is None or previous != label:
-                n_changed += 1
-                changed_workers.add(worker)
-                for other in self._matrix.workers_of(task):
-                    if other != worker:
-                        changed_pairs.add(pair_key(worker, other))
-            self._matrix.add_response(worker, task, label)
-            events.append((worker, task, label, previous))
-            self._responses_seen += 1
+        workers, tasks, labels = batch.T
+        previous = np.asarray(
+            self._matrix.upsert_records(batch.tolist()), dtype=np.int64
+        )
+        self._responses_seen += len(batch)
+        changing = previous != labels
         backend_invalidations = 0
         if self._backend is not None:
-            before = self._backend.invalidation_events
-            self._backend.apply_responses(events)
-            backend_invalidations = self._backend.invalidation_events - before
-        invalidated = set(changed_workers) | self._readers_of(changed_pairs)
+            passes = self._backend.invalidation_events
+            pair_ids = self._backend.apply_responses(
+                workers, tasks, labels, previous
+            )
+            backend_invalidations = self._backend.invalidation_events - passes
+        else:
+            pair_ids = self._matrix_pair_ids(workers, tasks, changing, previous)
+        invalidated = set(workers[changing].tolist())
+        invalidated |= self._readers_of(pair_ids)
         cached_invalidated = sum(
             1
             for worker in invalidated
@@ -467,10 +456,39 @@ class IncrementalEvaluator:
             self._invalidate(worker)
         return BatchApplyStats(
             n_events=len(batch),
-            n_changed=n_changed,
+            n_changed=int(changing.sum()),
             invalidated=frozenset(invalidated),
             cached_invalidated=cached_invalidated,
             backend_invalidations=backend_invalidations,
+        )
+
+    def _matrix_pair_ids(
+        self,
+        workers: np.ndarray,
+        tasks: np.ndarray,
+        changing: np.ndarray,
+        previous: np.ndarray,
+    ) -> np.ndarray:
+        """The dict path's changed-pair ids, from the (written) matrix.
+
+        Same rule as the backends' :func:`changed_pair_ids`; the pre-batch
+        attempt block of the touched tasks is today's attempters minus the
+        cells the batch created.
+        """
+        if not changing.any():
+            return np.empty(0, dtype=np.int64)
+        columns = np.unique(tasks[changing])
+        before = np.zeros((self._matrix.n_workers, columns.size), dtype=bool)
+        for index, task in enumerate(columns.tolist()):
+            attempters = self._matrix.workers_of(task)
+            before[
+                np.fromiter(attempters, dtype=np.int64, count=len(attempters)),
+                index,
+            ] = True
+        fresh = previous == UNANSWERED
+        before[workers[fresh], np.searchsorted(columns, tasks[fresh])] = False
+        return changed_pair_ids(
+            workers, tasks, changing, np.unique(workers[changing]), columns, before
         )
 
     # ------------------------------------------------------------------ #
@@ -499,14 +517,7 @@ class IncrementalEvaluator:
         exactly like the process-sharding export this reuses.
         """
         matrix = self._matrix
-        count = matrix.n_responses
-        workers = np.empty(count, dtype=np.int64)
-        tasks = np.empty(count, dtype=np.int64)
-        labels = np.empty(count, dtype=np.int64)
-        for position, (worker, task, label) in enumerate(matrix.iter_responses()):
-            workers[position] = worker
-            tasks[position] = task
-            labels[position] = label
+        workers, tasks, labels = matrix.to_arrays()
         gold = matrix.gold_labels
         arrays: dict[str, np.ndarray] = {
             "resp_worker": workers,
@@ -771,21 +782,24 @@ class IncrementalEvaluator:
         self._tracker.forget(worker)
         self._ledger.forget(worker)
 
-    def _readers_of(self, changed_pairs) -> set[int]:
+    def _readers_of(self, pair_ids: np.ndarray) -> set[int]:
         """Cached-estimate owners whose recorded reads touch the pairs.
 
-        Consults both dependency structures: a cached worker lives in the
-        ledger when its last recompute took the footprint path and in the
-        observer tracker when it took the scalar dict path, so the union is
-        exact whichever mix of paths produced the current caches (e.g.
-        across a mid-stream dict-to-dense backend flip).
+        ``pair_ids`` are encoded changed-pair ids.  Consults both
+        dependency structures: a cached worker lives in the ledger when its
+        last recompute took the footprint path and in the observer tracker
+        when it took the scalar dict path, so the union is exact whichever
+        mix of paths produced the current caches (e.g. across a mid-stream
+        dict-to-dense backend flip).  The observer is probed only while it
+        holds a worker.
         """
-        changed_pairs = list(changed_pairs)
-        if not changed_pairs:
+        if pair_ids.size == 0:
             return set()
-        readers = self._ledger.invalidated(changed_pairs)
-        for key in changed_pairs:
-            readers |= self._tracker.readers_of(key)
+        readers = self._ledger.invalidated(pair_ids)
+        if len(self._tracker):
+            first, second = decode_pair_ids(pair_ids)
+            for key in zip(first.tolist(), second.tolist()):
+                readers |= self._tracker.readers_of(key)
         return readers
 
     # ------------------------------------------------------------------ #

@@ -42,11 +42,11 @@ against the observed fill (``n_responses / (m * n)``) to pick the cheapest
 backend that can hold the data — see the function docstring for the exact
 decision table.  An explicit ``backend=`` request always wins.
 
-The dense backend additionally supports O(row) *delta updates*
-(:meth:`DenseAgreementBackend.apply_response`), which the incremental
+Every backend also supports batched *delta updates*
+(:meth:`AgreementBackendBase.apply_responses`), which the incremental
 evaluator uses to keep the cached count matrices in sync with a response
-stream without rebuilding; the bitset and sparse backends implement the
-same method against their packed planes.
+stream without rebuilding: the shared net-delta algorithm lives in the
+base class, and each backend only reads and writes its own storage.
 
 Every vectorized backend is *footprint-capable*: because the pairing fast
 path reads straight from the cached count matrices
@@ -74,9 +74,11 @@ __all__ = [
     "AUTO_SPARSE_DENSITY",
     "AUTO_SPARSE_MIN_CELLS",
     "BACKEND_CHOICES",
+    "PAIR_ID_SHIFT",
     "AgreementBackendBase",
     "DenseAgreementBackend",
     "auto_backend_choice",
+    "changed_pair_ids",
     "resolve_backend",
     "resolve_triple_backend",
 ]
@@ -149,6 +151,86 @@ def _indicator_product(indicator: np.ndarray, n_tasks: int) -> np.ndarray:
     return converted @ converted.T
 
 
+#: Pair ``(a, b)`` with ``a < b`` is identified by the int64
+#: ``a << PAIR_ID_SHIFT | b``; the dependency ledger (:mod:`repro.core.deps`)
+#: matches changed pairs in this encoding.  Worker ids stay far below 2^31
+#: (the dense count matrices would not fit long before), so it is exact.
+PAIR_ID_SHIFT = 32
+
+
+def changed_pair_ids(
+    workers: np.ndarray,
+    tasks: np.ndarray,
+    changing: np.ndarray,
+    rows: np.ndarray,
+    columns: np.ndarray,
+    before: np.ndarray,
+) -> np.ndarray:
+    """Encoded ids of the pairs a micro-batch changed, by the per-event rule.
+
+    A statistic-changing event ``(w, t)`` changes the pair ``(w, u)`` for
+    every other worker ``u`` holding a response on ``t`` at that point of
+    the stream: the pre-batch attempters of ``t`` plus the workers whose
+    events on ``t`` came earlier in the batch.  ``workers``/``tasks`` are
+    the whole batch in order, ``changing`` flags its statistic-changing
+    events, ``rows``/``columns`` are the sorted worker/task ids of those
+    events and ``before`` is the ``(m, len(columns))`` pre-batch attempt
+    block of the columns.  Returns sorted-unique int64 ids
+    (:data:`PAIR_ID_SHIFT`).
+    """
+    events = np.flatnonzero(changing)
+    # Pre-batch attempters: one 0/1 product of the changing workers' touched
+    # columns against the before block (positive sums stay positive in
+    # float32, so the nonzero pattern is exact).
+    touched = np.zeros((rows.size, columns.size), dtype=np.float32)
+    touched[
+        np.searchsorted(rows, workers[events]),
+        np.searchsorted(columns, tasks[events]),
+    ] = 1.0
+    owner, attempters = np.nonzero(
+        touched @ np.asarray(before, dtype=np.float32).T
+    )
+    first = rows[owner]
+    second = attempters
+    # Earlier events on the same task: group the batch by task (stable in
+    # stream order) and pair each changing event with every event ahead
+    # of it in its group.
+    order = np.argsort(tasks, kind="stable")
+    sorted_tasks = tasks[order]
+    repeats = sorted_tasks[1:] == sorted_tasks[:-1]
+    if repeats.any():
+        starts = np.flatnonzero(np.concatenate(([True], ~repeats)))
+        group_start = np.repeat(starts, np.diff(np.append(starts, tasks.size)))
+        ahead = np.arange(tasks.size) - group_start
+        positions = np.flatnonzero(changing[order] & (ahead > 0))
+        counts = ahead[positions]
+        repeated = np.repeat(positions, counts)
+        offsets = np.arange(repeated.size) - np.repeat(
+            np.cumsum(counts) - counts, counts
+        )
+        first = np.concatenate((first, workers[order[repeated]]))
+        second = np.concatenate(
+            (second, workers[order[group_start[repeated] + offsets]])
+        )
+    distinct = first != second
+    low = np.minimum(first, second)[distinct]
+    high = np.maximum(first, second)[distinct]
+    return np.unique((low << PAIR_ID_SHIFT) | high)
+
+
+def _patch_symmetric(
+    counts: np.ndarray, rows: np.ndarray, delta: np.ndarray
+) -> None:
+    """Add a symmetric change known on ``rows`` (``delta = change[rows]``).
+
+    Entries between two changed rows get both the row and the column
+    update, so the ``(rows, rows)`` block is taken back once.
+    """
+    counts[rows, :] += delta
+    counts[:, rows] += delta.T
+    counts[rows[:, None], rows] -= delta[:, rows]
+
+
 class AgreementBackendBase:
     """Shared skeleton of every vectorized agreement-statistics backend.
 
@@ -187,11 +269,13 @@ class AgreementBackendBase:
     int label row with :data:`~repro.data.response_matrix.UNANSWERED` in
     unattempted cells), the count builders ``common_counts`` /
     ``agreement_counts``, the triple-grid queries ``triple_count_matrix`` /
-    ``triple_count_grid_full``, and ``apply_response`` (the O(row) delta
-    update).  Everything else — scalar pair/triple queries, the derived
-    float caches, the vote table, the majority-disagreement proxy and the
-    A3 count tensor — is inherited.  New backends must also register in the
-    differential suite's path tables (see
+    ``triple_count_grid_full``, and the delta-update hooks
+    ``_read_columns`` / ``_write_cells`` (read a block of task columns,
+    store final cell labels).  Everything else — scalar pair/triple
+    queries, the derived float caches, the vote table, the
+    majority-disagreement proxy, the A3 count tensor and the net-delta
+    :meth:`apply_responses` — is inherited.  New backends must also
+    register in the differential suite's path tables (see
     ``tests/property/test_cross_backend_differential.py``) so the
     bit-identity contract is enforced for them on every public entry point.
     """
@@ -221,7 +305,7 @@ class AgreementBackendBase:
         Single source of truth for the shared cache attribute set — called
         by every concrete constructor (and by
         :meth:`DenseAgreementBackend.from_arrays`, which builds instances
-        via ``__new__``).  Caches are kept in sync by ``apply_response``.
+        via ``__new__``).  Caches are kept in sync by ``apply_responses``.
         """
         self._common: np.ndarray | None = common_counts
         self._agree: np.ndarray | None = agreement_counts
@@ -231,11 +315,11 @@ class AgreementBackendBase:
         self._clamped_rates: dict[
             float, tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = {}
-        #: Number of derived-cache invalidation passes taken so far.  Each
-        #: singleton ``apply_response`` that changes a statistic pays one;
-        #: ``apply_responses`` pays one for a whole micro-batch — the
-        #: counter is what the streaming benchmark/tests use to assert the
-        #: batch path actually coalesces the invalidation work.
+        #: Number of derived-cache invalidation passes taken so far:
+        #: ``apply_responses`` pays one per statistic-changing call, so a
+        #: micro-batch pays one where singleton applies pay one per event —
+        #: the counter is what the streaming benchmark/tests use to assert
+        #: the batch path actually coalesces the invalidation work.
         self.invalidation_events: int = 0
 
     # ------------------------------------------------------------------ #
@@ -302,14 +386,6 @@ class AgreementBackendBase:
         """All ``c_{worker, x, y}`` over *every* worker pair, exact counts."""
         raise NotImplementedError
 
-    def _validate_event(self, worker: int, task: int, label: int) -> None:
-        if not (0 <= worker < self._n_workers):
-            raise DataValidationError(f"worker id {worker} out of range")
-        if not (0 <= task < self._n_tasks):
-            raise DataValidationError(f"task id {task} out of range")
-        if not (0 <= label < self._arity):
-            raise DataValidationError(f"label {label} out of range")
-
     def _invalidate_derived(self) -> None:
         """Drop the derived read-only caches (a count is about to change)."""
         self.invalidation_events += 1
@@ -317,73 +393,134 @@ class AgreementBackendBase:
         self._common_list = None
         self._clamped_rates.clear()
 
-    def _apply_delta(
-        self, worker: int, task: int, label: int, previous_label: int | None
-    ) -> None:
-        """Patch the storage and materialized counts for one changed cell.
+    def _read_columns(self, tasks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(attempts, labels)`` blocks of the given task columns.
 
-        Called with pre-validated, statistic-changing events only; the
-        derived caches have already been invalidated by the caller.
+        Shapes ``(m, k)``: a boolean attempt block and an integer label
+        block with :data:`~repro.data.response_matrix.UNANSWERED` in
+        unattempted cells.
         """
+        raise NotImplementedError
+
+    def _write_cells(
+        self, workers: np.ndarray, tasks: np.ndarray, labels: np.ndarray
+    ) -> None:
+        """Store the final label of each (unique) ``(worker, task)`` cell."""
         raise NotImplementedError
 
     def apply_response(
         self, worker: int, task: int, label: int, previous_label: int | None = None
     ) -> None:
-        """O(row) delta update after one ``(worker, task, label)`` ingestion.
+        """Delta update after one ``(worker, task, label)`` ingestion.
 
         ``previous_label`` must be the worker's prior response on ``task``
-        (``None`` when this is a fresh response).  Every built cache —
-        count matrices, bit planes, vote table — is patched in place
-        instead of recomputed; derived read-only caches are dropped once.
+        (``None`` when this is a fresh response).  A one-event
+        :meth:`apply_responses`.
         """
-        self._validate_event(worker, task, label)
-        if previous_label is not None and int(previous_label) == int(label):
-            return
-        self._invalidate_derived()
-        self._apply_delta(worker, task, label, previous_label)
+        self.apply_responses(
+            [worker],
+            [task],
+            [label],
+            [UNANSWERED if previous_label is None else previous_label],
+        )
 
     def apply_responses(
-        self, events: Sequence[tuple[int, int, int, int | None]]
-    ) -> int:
-        """Batched delta update for a micro-batch of ingested responses.
+        self,
+        workers: Sequence[int] | np.ndarray,
+        tasks: Sequence[int] | np.ndarray,
+        labels: Sequence[int] | np.ndarray,
+        previous: Sequence[int] | np.ndarray,
+    ) -> np.ndarray:
+        """Net-delta update for a micro-batch; returns the changed-pair ids.
 
-        ``events`` are ``(worker, task, label, previous_label)`` tuples in
-        application order (``previous_label`` relative to the sequentially
-        applied stream, exactly as :meth:`apply_response` would have seen
-        them).  The result is bit-identical to applying the events one by
-        one; the difference is cost: the derived caches are invalidated
-        **once** for the whole batch, and while no count matrix / vote
-        table is materialized yet the per-event O(m) co-attempter scans are
-        replaced by grouped per-worker-row storage writes
-        (:meth:`_apply_batch_storage`).  Returns the number of
-        statistic-changing events applied.
+        The four aligned arrays are the batch in application order;
+        ``previous[i]`` is the label event ``i`` overwrote in the
+        sequentially applied stream (``UNANSWERED`` for a fresh cell),
+        exactly what :meth:`apply_response` would have been given.  The
+        batch is applied as one net delta, bit-identical to applying the
+        events one by one:
+
+        * the batch reduces to last-wins cells, written through the
+          backend's ``_write_cells`` hook;
+        * the touched task columns are read (``_read_columns``) before
+          and after the write as 0/1 planes — attempts, and one per label
+          value — and every materialized pair-count matrix is patched
+          with the integer block-product delta ``A1 A1^T - A0 A0^T`` of
+          its planes (the label planes summed for the agreement counts),
+          restricted to the rows of the workers that changed;
+        * the touched rows of a materialized vote table are recounted
+          from the after-block, and the derived caches are dropped once.
+
+        Returns the sorted-unique encoded ids (:data:`PAIR_ID_SHIFT`) of
+        the pairs the batch changed under the per-event rule of
+        :func:`changed_pair_ids`; empty when no event changed a
+        statistic (then nothing is touched at all).
         """
-        effective = []
-        for worker, task, label, previous in events:
-            self._validate_event(worker, task, label)
-            if previous is not None and int(previous) == int(label):
-                continue
-            effective.append((worker, task, label, previous))
-        if not effective:
-            return 0
+        workers = np.asarray(workers, dtype=np.int64)
+        tasks = np.asarray(tasks, dtype=np.int64)
+        labels = np.asarray(labels, dtype=np.int64)
+        previous = np.asarray(previous, dtype=np.int64)
+        self._validate_events(workers, tasks, labels)
+        changing = previous != labels
+        if not changing.any():
+            return np.empty(0, dtype=np.int64)
         self._invalidate_derived()
-        if not self._apply_batch_storage(effective):
-            for worker, task, label, previous in effective:
-                self._apply_delta(worker, task, label, previous)
-        return len(effective)
+        rows = np.unique(workers[changing])
+        columns = np.unique(tasks[changing])
+        before = self._column_planes(columns)
+        pair_ids = changed_pair_ids(
+            workers, tasks, changing, rows, columns, before[0]
+        )
+        cells = workers * self._n_tasks + tasks
+        order = np.argsort(cells, kind="stable")
+        ordered = cells[order]
+        last = order[np.append(ordered[1:] != ordered[:-1], True)]
+        self._write_cells(workers[last], tasks[last], labels[last])
+        after = self._column_planes(columns)
+        if self._common is not None or self._agree is not None:
+            # Per plane: after[rows] @ after.T - before[rows] @ before.T,
+            # the exact integer change of that plane's pair counts.
+            delta = (
+                np.matmul(after[:, rows], after.transpose(0, 2, 1))
+                - np.matmul(before[:, rows], before.transpose(0, 2, 1))
+            ).astype(np.int64)
+            if self._common is not None:
+                _patch_symmetric(self._common, rows, delta[0])
+            if self._agree is not None:
+                _patch_symmetric(self._agree, rows, delta[1:].sum(axis=0))
+        if self._task_votes is not None:
+            self._task_votes[columns] = after[1:].sum(axis=1).T
+        return pair_ids
 
-    def _apply_batch_storage(
-        self, events: list[tuple[int, int, int, int | None]]
-    ) -> bool:
-        """Grouped per-worker-row fast path for a whole micro-batch.
+    def _column_planes(self, tasks: np.ndarray) -> np.ndarray:
+        """0/1 planes of the given task columns: attempts, then one per label.
 
-        Returns True when the batch was fully absorbed by storage writes
-        (only legal while no count matrix / vote table is materialized —
-        those must be patched per event).  The default declines; backends
-        whose storage is authoritative override it.
+        Shape ``(arity + 1, m, k)`` in float32 — products over ``k``
+        columns stay exact integers while ``k`` fits
+        :data:`_FLOAT32_EXACT_TASK_LIMIT` (float64 beyond).
         """
-        return False
+        attempts, labels = self._read_columns(tasks)
+        dtype = (
+            np.float32 if tasks.size <= _FLOAT32_EXACT_TASK_LIMIT else np.float64
+        )
+        planes = np.empty((self._arity + 1,) + attempts.shape, dtype=dtype)
+        planes[0] = attempts
+        planes[1:] = labels == np.arange(self._arity)[:, None, None]
+        return planes
+
+    def _validate_events(
+        self, workers: np.ndarray, tasks: np.ndarray, labels: np.ndarray
+    ) -> None:
+        for name, values, bound in (
+            ("worker id", workers, self._n_workers),
+            ("task id", tasks, self._n_tasks),
+            ("label", labels, self._arity),
+        ):
+            if values.size and (values.min() < 0 or values.max() >= bound):
+                bad = values[(values < 0) | (values >= bound)][0]
+                raise DataValidationError(
+                    f"{name} {int(bad)} out of range [0, {bound})"
+                )
 
     # ------------------------------------------------------------------ #
     # Delta growth (streaming ingestion of unseen ids)
@@ -526,7 +663,7 @@ class AgreementBackendBase:
         stages read per-worker slices of these matrices, so the divisions,
         clamps and ``2q - 1`` terms are computed once per batch instead of
         once per evaluated worker.  Cached per margin and invalidated by
-        ``apply_response``.
+        ``apply_responses``.
         """
         cached = self._clamped_rates.get(clamp_margin)
         if cached is not None:
@@ -1037,79 +1174,17 @@ class DenseAgreementBackend(AgreementBackendBase):
         self._attempts_f32 = None
         self._triple_tensor = None
 
-    def _apply_delta(
-        self, worker: int, task: int, label: int, previous_label: int | None
+    def _read_columns(self, tasks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self._attempts[:, tasks], self._labels[:, tasks]
+
+    def _write_cells(
+        self, workers: np.ndarray, tasks: np.ndarray, labels: np.ndarray
     ) -> None:
-        """O(m) delta update after one ``(worker, task, label)`` ingestion.
-
-        Every built cache — common/agreement count matrices, bitset rows,
-        vote table — is patched in place instead of being recomputed, which
-        is what makes streaming ingestion O(co-attempters) per response
-        rather than O(m^2 n).
-        """
-        co_attempters = np.nonzero(self._attempts[:, task])[0]
-        co_attempters = co_attempters[co_attempters != worker]
-        their_labels = self._labels[co_attempters, task].astype(np.int64)
-
-        if previous_label is None:
-            self._attempts[worker, task] = True
-            if self._common is not None:
-                self._common[worker, co_attempters] += 1
-                self._common[co_attempters, worker] += 1
-                self._common[worker, worker] += 1
-            if self._packed is not None:
-                self._packed[worker, task >> 3] |= np.uint8(0x80 >> (task & 7))
-            if self._agree is not None:
-                self._agree[worker, worker] += 1
-        elif self._agree is not None:
-            stale = (their_labels == int(previous_label)).astype(np.int64)
-            self._agree[worker, co_attempters] -= stale
-            self._agree[co_attempters, worker] -= stale
-        if self._agree is not None:
-            fresh = (their_labels == int(label)).astype(np.int64)
-            self._agree[worker, co_attempters] += fresh
-            self._agree[co_attempters, worker] += fresh
-        if self._task_votes is not None:
-            if previous_label is not None:
-                self._task_votes[task, int(previous_label)] -= 1
-            self._task_votes[task, int(label)] += 1
-        self._labels[worker, task] = label
-
-    def _apply_batch_storage(
-        self, events: list[tuple[int, int, int, int | None]]
-    ) -> bool:
-        """Absorb a micro-batch with grouped per-worker-row writes.
-
-        Legal only while no count matrix / vote table is materialized: then
-        the dense arrays are the sole authority and the whole batch reduces
-        to fancy-indexed assignments per touched worker row — no per-event
-        O(m) co-attempter scan.  Duplicate ``(worker, task)`` cells within
-        the batch are deduplicated keeping the last label (assignment
-        semantics of the sequential replay).
-        """
-        if (
-            self._common is not None
-            or self._agree is not None
-            or self._task_votes is not None
-        ):
-            return False
-        by_worker: dict[int, tuple[list[int], list[int]]] = {}
-        for worker, task, label, _previous in events:
-            tasks, labels = by_worker.setdefault(worker, ([], []))
-            tasks.append(task)
-            labels.append(label)
-        for worker, (tasks, labels) in by_worker.items():
-            task_array = np.asarray(tasks, dtype=np.int64)
-            label_array = np.asarray(labels, dtype=np.int64)
-            # Keep the last occurrence per task: unique() on the reversed
-            # array returns first occurrences, i.e. the stream's last.
-            _, reversed_first = np.unique(task_array[::-1], return_index=True)
-            keep = task_array.size - 1 - reversed_first
-            self._attempts[worker, task_array[keep]] = True
-            self._labels[worker, task_array[keep]] = label_array[keep]
-            if self._packed is not None:
-                self._packed[worker] = np.packbits(self._attempts[worker])
-        return True
+        self._attempts[workers, tasks] = True
+        self._labels[workers, tasks] = labels
+        if self._packed is not None:
+            rows = np.unique(workers)
+            self._packed[rows] = np.packbits(self._attempts[rows], axis=1)
 
     def _extend_storage(self, additional_workers: int, additional_tasks: int) -> None:
         m, n = self._attempts.shape

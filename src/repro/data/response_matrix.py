@@ -27,7 +27,7 @@ counts from the vectorized :mod:`repro.data.dense_backend` instead (see the
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -298,6 +298,27 @@ class ResponseMatrix:
         self._responses[worker][task] = label
         self._task_responses[task][worker] = label
 
+    def upsert_records(self, records: Iterable[Sequence[int]]) -> list[int]:
+        """Write ``(worker, task, label)`` records in order; previous labels.
+
+        The batched :meth:`add_response` for callers that have validated
+        every id and label already (the incremental evaluator checks a
+        whole micro-batch with array min/max first): one lean loop over the
+        stores, no per-record validation.  Returns, per record, the label it
+        overwrote in the sequential sense (a record sees the writes of the
+        records before it), :data:`UNANSWERED` for a fresh cell.
+        """
+        responses = self._responses
+        task_responses = self._task_responses
+        previous: list[int] = []
+        append = previous.append
+        for worker, task, label in records:
+            row = responses[worker]
+            append(row.get(task, UNANSWERED))
+            row[task] = label
+            task_responses[task][worker] = label
+        return previous
+
     def remove_response(self, worker: int, task: int) -> None:
         """Delete the response of ``worker`` on ``task`` if present."""
         self._validate_worker(worker)
@@ -387,6 +408,29 @@ class ResponseMatrix:
         for worker in range(self._n_workers):
             for task, label in self._responses[worker].items():
                 yield worker, task, label
+
+    def to_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Record arrays ``(workers, tasks, labels)``, the inverse of
+        :meth:`from_arrays`.
+
+        int64 arrays in :meth:`iter_responses` order, built with one
+        ``np.fromiter`` per row instead of a Python loop per response (the
+        durable snapshot export runs this on every checkpoint).
+        """
+        rows = self._responses
+        workers = np.repeat(
+            np.arange(self._n_workers, dtype=np.int64), [len(row) for row in rows]
+        )
+        tasks = np.concatenate(
+            [np.fromiter(row, dtype=np.int64, count=len(row)) for row in rows]
+        )
+        labels = np.concatenate(
+            [
+                np.fromiter(row.values(), dtype=np.int64, count=len(row))
+                for row in rows
+            ]
+        )
+        return workers, tasks, labels
 
     # ------------------------------------------------------------------ #
     # Derived statistics used by the paper's algorithms

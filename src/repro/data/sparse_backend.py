@@ -35,7 +35,7 @@ the grids equal the dense/dict values bit for bit.
 Both backends inherit every shared query (scalar pairs/triples, the clamped
 rate caches, vote table, majority-disagreement proxy, A3 count tensor) from
 :class:`~repro.data.dense_backend.AgreementBackendBase` and implement the
-same O(row) ``apply_response`` delta update the incremental evaluator uses.
+same net-delta ``apply_responses`` update the incremental evaluator uses.
 Both also implement the shared-state export protocol behind ``shards=``
 (:mod:`repro.core.parallel`): the packed bit planes, count matrices and
 vote table ship through shared memory, so process shards attach views of
@@ -91,6 +91,18 @@ def scipy_available() -> bool:
     except ImportError:  # pragma: no cover - depends on the environment
         return False
     return True
+
+
+def _or_by_byte(
+    rows: np.ndarray, cols: np.ndarray, bits: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unique ``(row, byte)`` positions with their bits OR-combined."""
+    keys = rows * (int(cols.max()) + 1) + cols
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    first = order[starts]
+    return rows[first], cols[first], np.bitwise_or.reduceat(bits[order], starts)
 
 
 class BitsetAgreementBackend(AgreementBackendBase):
@@ -308,93 +320,37 @@ class BitsetAgreementBackend(AgreementBackendBase):
     # Delta updates (incremental evaluation)
     # ------------------------------------------------------------------ #
 
-    def _apply_delta(
-        self, worker: int, task: int, label: int, previous_label: int | None
+    def _read_columns(self, tasks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        byte_index = tasks >> 3
+        shift = (7 - (tasks & 7)).astype(np.uint8)
+        attempts = ((self._packed[:, byte_index] >> shift) & 1).astype(bool)
+        labels = np.full(attempts.shape, UNANSWERED, dtype=np.int16)
+        for value in range(self._arity):
+            plane = self._packed_labels[value]
+            labels[((plane[:, byte_index] >> shift) & 1).astype(bool)] = value
+        return attempts, labels
+
+    def _write_cells(
+        self, workers: np.ndarray, tasks: np.ndarray, labels: np.ndarray
     ) -> None:
-        """O(m) delta update mirroring the dense backend's semantics.
+        """Set the attempt bits, clear every label plane, set the new label.
 
-        The packed planes are the authoritative storage here, so the
-        attempt/label bits are always patched; the lazily-built count
-        matrices and vote table are patched only when materialized (exactly
-        as the dense backend patches its caches).
+        Cells of one worker can share a byte, so the bits are OR-combined
+        per ``(worker, byte)`` before the fancy-indexed writes.
         """
-        byte_index = task >> 3
-        bit = np.uint8(0x80 >> (task & 7))
-        attempted = (self._packed[:, byte_index] & bit) != 0
-        co_attempters = np.nonzero(attempted)[0]
-        co_attempters = co_attempters[co_attempters != worker]
-        their_labels = np.zeros(co_attempters.size, dtype=np.int64)
-        for value in range(1, self._arity):
-            marked = (
-                self._packed_labels[value][co_attempters, byte_index] & bit
-            ) != 0
-            their_labels[marked] = value
-
-        if previous_label is None:
-            self._packed[worker, byte_index] |= bit
-            if self._common is not None:
-                self._common[worker, co_attempters] += 1
-                self._common[co_attempters, worker] += 1
-                self._common[worker, worker] += 1
-            if self._agree is not None:
-                self._agree[worker, worker] += 1
-        else:
-            self._packed_labels[int(previous_label)][worker, byte_index] &= np.uint8(
-                0xFF ^ int(bit)
-            )
-            if self._agree is not None:
-                stale = (their_labels == int(previous_label)).astype(np.int64)
-                self._agree[worker, co_attempters] -= stale
-                self._agree[co_attempters, worker] -= stale
-        if self._agree is not None:
-            fresh = (their_labels == int(label)).astype(np.int64)
-            self._agree[worker, co_attempters] += fresh
-            self._agree[co_attempters, worker] += fresh
-        if self._task_votes is not None:
-            if previous_label is not None:
-                self._task_votes[task, int(previous_label)] -= 1
-            self._task_votes[task, int(label)] += 1
-        self._packed_labels[int(label)][worker, byte_index] |= bit
-
-    def _apply_batch_storage(
-        self, events: list[tuple[int, int, int, int | None]]
-    ) -> bool:
-        """Absorb a micro-batch with grouped per-worker bit writes.
-
-        Legal only while no count matrix / vote table is materialized (the
-        packed planes are then the sole authority).  Per touched cell only
-        the *net* transition matters for the planes — the pre-batch label
-        (the first event's ``previous``) is cleared and the last label set —
-        so the per-event O(m) co-attempter scans vanish entirely.
-        """
-        if (
-            self._common is not None
-            or self._agree is not None
-            or self._task_votes is not None
-        ):
-            return False
-        # (worker, task) -> [pre-batch previous, final label]; dict order
-        # preserves the stream order within each worker row.
-        net: dict[tuple[int, int], list[int | None]] = {}
-        for worker, task, label, previous in events:
-            cell = net.get((worker, task))
-            if cell is None:
-                net[(worker, task)] = [previous, label]
-            else:
-                cell[1] = label
-        for (worker, task), (previous, label) in net.items():
-            byte_index = task >> 3
-            bit = np.uint8(0x80 >> (task & 7))
-            if previous is None:
-                self._packed[worker, byte_index] |= bit
-            elif int(previous) == int(label):
-                continue
-            else:
-                self._packed_labels[int(previous)][worker, byte_index] &= np.uint8(
-                    0xFF ^ int(bit)
+        bytes_ = tasks >> 3
+        bits = (0x80 >> (tasks & 7)).astype(np.uint8)
+        rows, cols, combined = _or_by_byte(workers, bytes_, bits)
+        self._packed[rows, cols] |= combined
+        for value in range(self._arity):
+            plane = self._packed_labels[value]
+            plane[rows, cols] &= ~combined
+            chosen = labels == value
+            if chosen.any():
+                set_rows, set_cols, set_bits = _or_by_byte(
+                    workers[chosen], bytes_[chosen], bits[chosen]
                 )
-            self._packed_labels[int(label)][worker, byte_index] |= bit
-        return True
+                plane[set_rows, set_cols] |= set_bits
 
     def _extend_storage(self, additional_workers: int, additional_tasks: int) -> None:
         m = self._packed.shape[0]
@@ -510,7 +466,7 @@ class SparseAgreementBackend(BitsetAgreementBackend):
         """Drop the CSR arrays once both count matrices are materialized.
 
         They are consumed only by the one-shot builds below and are never
-        patched (``apply_response`` materializes both matrices first, after
+        patched (``apply_responses`` materializes both matrices first, after
         which the packed planes are the only authoritative storage), so on
         the backend's target workloads keeping them would pin ~16 bytes of
         dead index data per response for the backend's lifetime.
@@ -558,40 +514,18 @@ class SparseAgreementBackend(BitsetAgreementBackend):
             self._release_csr_if_done()
         return self._agree
 
-    def apply_response(
-        self, worker: int, task: int, label: int, previous_label: int | None = None
-    ) -> None:
-        """Delta update; materializes the CSR-built matrices first.
+    def apply_responses(self, workers, tasks, labels, previous) -> np.ndarray:
+        """Net-delta update; materializes the CSR-built matrices first.
 
         The CSR index arrays describe the *construction-time* responses and
-        are never patched; the count matrices must therefore exist before
-        the first delta lands so the update is applied to them in place
-        (afterwards the packed planes are the only authoritative storage,
-        exactly as in the bitset backend).
+        are never patched, so both count matrices must exist before the
+        first delta lands; afterwards the packed planes are the only
+        authoritative storage, exactly as in the bitset backend.
         """
-        if not (previous_label is not None and int(previous_label) == int(label)):
+        if np.any(np.asarray(previous) != np.asarray(labels)):
             self.common_counts
             self.agreement_counts
-        super().apply_response(worker, task, label, previous_label)
-
-    def apply_responses(
-        self, events: Sequence[tuple[int, int, int, int | None]]
-    ) -> int:
-        """Batched delta update; materializes the CSR-built matrices first.
-
-        Same reasoning as :meth:`apply_response`: the CSR index describes
-        the construction-time responses only, so both count matrices must
-        exist before the first delta lands (this also means the grouped
-        storage-only fast path never applies here — the materialized
-        matrices are patched per event, exactly like the singleton path).
-        """
-        if any(
-            not (previous is not None and int(previous) == int(label))
-            for _worker, _task, label, previous in events
-        ):
-            self.common_counts
-            self.agreement_counts
-        return super().apply_responses(events)
+        return super().apply_responses(workers, tasks, labels, previous)
 
     def _extend_storage(self, additional_workers: int, additional_tasks: int) -> None:
         super()._extend_storage(additional_workers, additional_tasks)

@@ -3,8 +3,8 @@
 The paper evaluates a *given* response matrix; a production system serves a
 *stream* — responses arrive concurrently while quality queries keep being
 answered.  This package is that front-end, layered on the delta machinery
-the rest of the library already provides (O(row) ``apply_response`` /
-batched ``apply_responses`` on every backend, dependency-tracked cache
+the rest of the library already provides (the net-delta
+``apply_responses`` on every backend, dependency-tracked cache
 invalidation in :class:`~repro.core.incremental.IncrementalEvaluator`):
 
 * :class:`~repro.serve.config.SessionConfig` +

@@ -75,6 +75,7 @@ from repro.serve.session import (
     BatchRecord,
     SessionSnapshot,
     _majority_rates,
+    admit_events,
 )
 from repro.types import WorkerErrorEstimate
 
@@ -487,6 +488,7 @@ class MultiWriterSession:
         self._submitted_total = 0
         self._applied_total = 0
         self._batches: list[BatchRecord] = []
+        self._batch_count = 0
         self._appliers: list[asyncio.Task] = []
         self._error: BaseException | None = None
         self._io_pool: ThreadPoolExecutor | None = None
@@ -721,42 +723,74 @@ class MultiWriterSession:
         """Per-partition applied sequence high-water marks (a copy)."""
         return dict(self._applied_map)
 
+    @property
+    def applied_batch_count(self) -> int:
+        """How many batches this session applied (no record copying)."""
+        return self._batch_count
+
     async def submit(self, worker: int, task: int, label: int) -> int:
         """Route one response to its partition; returns the submit count.
 
         Blocks while that partition's queue is full (backpressure).
         Unlike the single-writer session the return value is the *total*
         number of events submitted, not a global sequence — sequence
-        numbers are per partition here.
+        numbers are per partition here.  An event the evaluator would
+        reject raises :class:`~repro.exceptions.DataValidationError`
+        before it is enqueued (see :func:`admit_events`).
         """
+        self._check_running()
+        (event,) = admit_events(
+            self._evaluator, [(worker, task, label)], self._auto_extend
+        )
+        await self._enqueue(partition_for(event[0], self._writers), [event])
+        return self._submitted_total
+
+    async def submit_many(self, records) -> int:
+        """Submit a collection (sync or async iterable); returns the count.
+
+        A sync collection is admitted whole (:func:`admit_events`: a bad
+        event rejects the run before any of it is enqueued), split by
+        partition keeping stream order within each slice, and enqueued
+        with one ``put_many`` per partition.  An async iterable is
+        submitted event by event.
+        """
+        if hasattr(records, "__aiter__"):
+            count = 0
+            async for record in records:
+                await self.submit(*record)
+                count += 1
+            return count
+        self._check_running()
+        batch = admit_events(self._evaluator, records, self._auto_extend)
+        slices: dict[int, list[tuple[int, int, int]]] = {}
+        routes: dict[int, int] = {}
+        for event in batch:
+            partition = routes.get(event[0])
+            if partition is None:
+                partition = routes[event[0]] = partition_for(
+                    event[0], self._writers
+                )
+            slices.setdefault(partition, []).append(event)
+        for partition in sorted(slices):
+            await self._enqueue(partition, slices[partition])
+        return len(batch)
+
+    def _check_running(self) -> None:
         self._raise_if_failed()
         if not self._appliers:
             raise ConfigurationError(
                 "the session is not running; use 'async with' or call "
                 "start() first"
             )
-        partition = partition_for(int(worker), self._writers)
-        await self._queues[partition].put(
-            (int(worker), int(task), int(label))
-        )
+
+    async def _enqueue(
+        self, partition: int, events: list[tuple[int, int, int]]
+    ) -> None:
+        await self._queues[partition].put_many(events)
         # Post-put, yield-free increments: same lost-update discipline as
         # the single-writer session.
-        self._submitted_map[partition] += 1
-        self._submitted_total += 1
-        return self._submitted_total
-
-    async def submit_many(self, records) -> int:
-        """Submit a collection (sync or async iterable); returns the count."""
-        count = 0
-        if hasattr(records, "__aiter__"):
-            async for record in records:
-                await self.submit(*record)
-                count += 1
-        else:
-            for record in records:
-                await self.submit(*record)
-                count += 1
-        return count
+        self._submitted_map[partition] += len(events)
+        self._submitted_total += len(events)
 
     async def flush(self) -> int:
         """Wait until everything submitted so far is applied, everywhere.
@@ -808,7 +842,7 @@ class MultiWriterSession:
                 matrix=self._evaluator.matrix.copy(),
                 estimates=self._evaluator.estimate_all(),
                 applied_events=self._applied_total,
-                applied_batches=len(self._batches),
+                applied_batches=self._batch_count,
             )
 
     # -- appliers + the snapshot fence -------------------------------------- #
@@ -851,6 +885,7 @@ class MultiWriterSession:
                     )
                 self._applied_map[partition] = last_seq
                 self._applied_total += len(batch)
+                self._batch_count += 1
                 self._batches.append(
                     BatchRecord(
                         index=len(self._batches),

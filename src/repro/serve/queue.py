@@ -1,15 +1,21 @@
 """Bounded asyncio response queue with micro-batch coalescing.
 
 :class:`ResponseQueue` is the front door of the streaming ingestion
-subsystem (:mod:`repro.serve`): producers ``await put(event)`` — the bound
-gives natural backpressure, a producer outrunning the applier parks on the
-queue instead of growing memory — and the single consumer drains with
-:meth:`get_batch`, which waits for the *first* event and then greedily
-coalesces everything already enqueued (up to ``max_batch``) into one
-micro-batch without waiting again.  Coalescing is what turns a trickle of
-singleton responses into the batched
+subsystem (:mod:`repro.serve`): producers ``await put_many(events)`` (or
+``put(event)``) — the bound gives natural backpressure, a producer
+outrunning the applier parks on the queue instead of growing memory — and
+the single consumer drains with :meth:`get_batch`, which waits for the
+*first* event and then greedily coalesces everything already enqueued (up
+to ``max_batch``) into one micro-batch without waiting again.  Coalescing
+is what turns a trickle of singleton responses into the batched
 :meth:`~repro.core.incremental.IncrementalEvaluator.apply_batch` deltas that
 pay one invalidation pass per batch instead of one per event.
+
+The queue is a ``deque`` of events with one waiter future for the consumer
+and one per parked producer: :meth:`put_many` enqueues a whole run with
+one consumer wake-up, and the bound is still counted in events — a run
+larger than the free room is enqueued as far as it fits and the producer
+parks until the consumer frees more.
 
 FIFO order is preserved end to end: events leave in exactly the order they
 were accepted, and batches are consumed by a single applier task, so the
@@ -24,15 +30,14 @@ per-worker order survives partitioned ingestion.
 from __future__ import annotations
 
 import asyncio
+from collections import deque
+from collections.abc import Sequence
+from itertools import islice
 from typing import Any
 
 from repro.exceptions import ConfigurationError
 
 __all__ = ["QueueClosed", "ResponseQueue"]
-
-#: Internal close marker (producers can never enqueue it: ``put`` rejects
-#: events after ``close`` and the sentinel is only enqueued by ``close``).
-_CLOSE = object()
 
 
 class QueueClosed(ConfigurationError):
@@ -68,16 +73,23 @@ class ResponseQueue:
             raise ConfigurationError(f"max_batch must be at least 1, got {max_batch}")
         if base_seq < 0:
             raise ConfigurationError(f"base_seq must be non-negative, got {base_seq}")
-        self._queue: asyncio.Queue[Any] = asyncio.Queue(maxsize)
+        self._items: deque[Any] = deque()
+        self._maxsize = maxsize
         self._max_batch = max_batch
         self._closed = False
         self._drained = False
+        self._getter: asyncio.Future | None = None
+        self._putters: deque[asyncio.Future] = deque()
+        #: Producers inside put_many that still hold events to enqueue
+        #: (parked, or woken and not yet resumed): the consumer may only
+        #: report "drained" after a close once none is left.
+        self._parked = 0
         self._accepted_seq = base_seq
         self._delivered_seq = base_seq
 
     @property
     def maxsize(self) -> int:
-        return self._queue.maxsize
+        return self._maxsize
 
     @property
     def max_batch(self) -> int:
@@ -89,9 +101,8 @@ class ResponseQueue:
         return self._closed
 
     def qsize(self) -> int:
-        """Number of events currently queued (excluding the close marker)."""
-        size = self._queue.qsize()
-        return size - 1 if self._closed and not self._drained and size else size
+        """Number of events currently queued."""
+        return len(self._items)
 
     @property
     def accepted_seq(self) -> int:
@@ -99,8 +110,7 @@ class ResponseQueue:
 
         A running count from ``base_seq`` — sequence numbers themselves are
         assigned positionally at *delivery* (single consumer, so delivery
-        order is queue order; concurrent producers resuming from parked
-        puts could otherwise count out of order).
+        order is queue order).
         """
         return self._accepted_seq
 
@@ -111,37 +121,73 @@ class ResponseQueue:
 
     async def put(self, event: Any) -> None:
         """Enqueue one event; blocks while the queue is full (backpressure)."""
+        await self.put_many([event])
+
+    async def put_many(self, events: Sequence[Any]) -> None:
+        """Enqueue a run of events in order with one consumer wake-up.
+
+        Blocks while the queue is full.  A run larger than the free room
+        is enqueued as far as it fits, then the producer parks until the
+        consumer frees room for the rest, so the queue never holds more
+        than ``maxsize`` events.
+        """
         if self._closed:
             raise QueueClosed("the response queue is closed")
-        await self._queue.put(event)
-        self._accepted_seq += 1
+        start = 0
+        while start < len(events):
+            room = self._maxsize - len(self._items)
+            if room <= 0:
+                await self._wait_for_room()
+                continue
+            stop = min(len(events), start + room)
+            self._items.extend(islice(events, start, stop))
+            self._accepted_seq += stop - start
+            start = stop
+            self._wake_getter()
 
     def put_nowait(self, event: Any) -> None:
         """Enqueue without waiting; raises ``asyncio.QueueFull`` when full."""
         if self._closed:
             raise QueueClosed("the response queue is closed")
-        self._queue.put_nowait(event)
+        if len(self._items) >= self._maxsize:
+            raise asyncio.QueueFull
+        self._items.append(event)
         self._accepted_seq += 1
+        self._wake_getter()
+
+    async def _wait_for_room(self) -> None:
+        waiter = asyncio.get_running_loop().create_future()
+        self._putters.append(waiter)
+        self._parked += 1
+        try:
+            await waiter
+        finally:
+            self._parked -= 1
+            # A cancelled last producer may be what a closed, empty
+            # queue's consumer waits on.
+            self._wake_getter()
+
+    def _wake_getter(self) -> None:
+        if self._getter is not None and not self._getter.done():
+            self._getter.set_result(None)
 
     async def close(self) -> None:
         """Refuse further events and wake the consumer once drained.
 
-        Idempotent.  Events already accepted are still delivered; the
-        consumer sees ``None`` from :meth:`get_batch` after the last batch.
+        Idempotent.  Events already accepted — including the rest of a run
+        whose producer is parked — are still delivered; the consumer sees
+        ``None`` from :meth:`get_batch` after the last batch.
         """
-        if self._closed:
-            return
         self._closed = True
-        # The close marker rides the same queue so it cannot overtake data.
-        await self._queue.put(_CLOSE)
+        self._wake_getter()
 
     async def get_batch(self) -> list[Any] | None:
         """Wait for the next micro-batch (or None once closed and drained).
 
         Blocks until at least one event is available, then coalesces every
         event already enqueued — up to ``max_batch`` — without waiting
-        again.  Returns ``None`` exactly once, after the final event has
-        been delivered.
+        again.  Returns ``None`` once the final event has been delivered
+        (and on every call after that).
         """
         result = await self.get_batch_with_seq()
         return None if result is None else result[2]
@@ -158,22 +204,23 @@ class ResponseQueue:
         session's write-ahead log records ahead of the apply, and what
         replay matches against the restored state on resume.
         """
-        if self._drained:
-            return None
-        first = await self._queue.get()
-        if first is _CLOSE:
-            self._drained = True
-            return None
-        batch = [first]
-        while len(batch) < self._max_batch:
-            try:
-                event = self._queue.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-            if event is _CLOSE:
+        while not self._items:
+            if self._drained:
+                return None
+            if self._closed and not self._parked:
                 self._drained = True
-                break
-            batch.append(event)
+                return None
+            self._getter = asyncio.get_running_loop().create_future()
+            try:
+                await self._getter
+            finally:
+                self._getter = None
+        popleft = self._items.popleft
+        batch = [popleft() for _ in range(min(len(self._items), self._max_batch))]
+        while self._putters:
+            waiter = self._putters.popleft()
+            if not waiter.done():
+                waiter.set_result(None)
         first_seq = self._delivered_seq + 1
         self._delivered_seq += len(batch)
         return first_seq, self._delivered_seq, batch

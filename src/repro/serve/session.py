@@ -78,6 +78,7 @@ from repro.core.spammer_filter import DEFAULT_SPAMMER_THRESHOLD
 from repro.data.response_matrix import ResponseMatrix
 from repro.exceptions import (
     ConfigurationError,
+    DataValidationError,
     DurableStateError,
     InsufficientDataError,
 )
@@ -86,7 +87,13 @@ from repro.serve.durable import DurableStore
 from repro.serve.queue import ResponseQueue
 from repro.types import WorkerErrorEstimate
 
-__all__ = ["BatchRecord", "SessionSnapshot", "StreamSession", "replay_stream"]
+__all__ = [
+    "BatchRecord",
+    "SessionSnapshot",
+    "StreamSession",
+    "admit_events",
+    "replay_stream",
+]
 
 #: The keyword knobs the pre-``SessionConfig`` constructor accepted; they
 #: map one-to-one onto ``SessionConfig`` fields.
@@ -125,6 +132,62 @@ def _majority_rates(
             except InsufficientDataError:
                 rates.append(None)
     return dict(enumerate(rates))
+
+
+#: Largest id a session admits while ``auto_extend`` grows the matrix: the
+#: applier carries ids as int64 arrays.
+_MAX_ID = (1 << 63) - 1
+
+
+def admit_events(
+    evaluator: IncrementalEvaluator,
+    records: Iterable[tuple[int, int, int]],
+    auto_extend: bool,
+) -> list[tuple[int, int, int]]:
+    """Normalize and validate a run of events before it is enqueued.
+
+    Admission control shared by both session shapes: an event the applier
+    could not apply must never reach the queue, because the durable applier
+    logs a batch before applying it and a logged bad event would fail
+    every later resume.  Rejects, with a
+    :class:`~repro.exceptions.DataValidationError` naming the first bad
+    event and admitting nothing of the run: anything that is not an
+    integer triple, negative ids, labels outside ``[0, arity)``, and —
+    when ``auto_extend`` is off — ids beyond the current dimensions.
+    Returns the run as ``(worker, task, label)`` tuples of Python ints.
+    """
+    matrix = evaluator.matrix
+    arity = matrix.arity
+    if auto_extend:
+        n_workers = n_tasks = _MAX_ID
+    else:
+        n_workers, n_tasks = matrix.n_workers, matrix.n_tasks
+    admitted: list[tuple[int, int, int]] = []
+    append = admitted.append
+    for record in records:
+        try:
+            worker, task, label = record
+            event = (int(worker), int(task), int(label))
+        except (TypeError, ValueError) as error:
+            raise DataValidationError(
+                f"event {record!r} rejected: not a (worker, task, label) "
+                "integer triple"
+            ) from error
+        worker, task, label = event
+        if not (0 <= worker < n_workers and 0 <= task < n_tasks and 0 <= label < arity):
+            for name, value, limit in (
+                ("worker id", worker, n_workers),
+                ("task id", task, n_tasks),
+                ("label", label, arity),
+            ):
+                if not 0 <= value < limit:
+                    problem = "negative" if value < 0 else f"not below {limit}"
+                    raise DataValidationError(
+                        f"event {list(event)} rejected: {name} {value} is "
+                        f"{problem}"
+                    )
+        append(event)
+    return admitted
 
 
 def replay_stream(
@@ -303,6 +366,7 @@ class StreamSession:
         self._submitted_seq = 0
         self._applied_seq = 0
         self._batches: list[BatchRecord] = []
+        self._batch_count = 0
         self._applier: asyncio.Task | None = None
         self._error: BaseException | None = None
 
@@ -421,40 +485,63 @@ class StreamSession:
         """Per-batch application records (size, sequence range, stats)."""
         return list(self._batches)
 
+    @property
+    def applied_batch_count(self) -> int:
+        """How many batches this session applied (no record copying)."""
+        return self._batch_count
+
     async def submit(self, worker: int, task: int, label: int) -> int:
         """Enqueue one response; returns its 1-based sequence number.
 
         Blocks while the queue is full (backpressure).  Application is
-        asynchronous — ``await flush()`` to wait for visibility.
+        asynchronous — ``await flush()`` to wait for visibility.  An event
+        the evaluator would reject raises
+        :class:`~repro.exceptions.DataValidationError` here, before it is
+        enqueued (see :func:`admit_events`).
         """
+        self._check_running()
+        await self._enqueue(
+            admit_events(self._evaluator, [(worker, task, label)], self._auto_extend)
+        )
+        return self._submitted_seq
+
+    async def submit_many(
+        self, records: Iterable[tuple[int, int, int]] | AsyncIterable
+    ) -> int:
+        """Submit a collection (sync or async iterable); returns the count.
+
+        A sync collection is admitted as one run — validated whole by
+        :func:`admit_events`, so a bad event rejects the run before any of
+        it is enqueued — and enqueued with one
+        :meth:`~repro.serve.queue.ResponseQueue.put_many`.  An async
+        iterable is submitted event by event as it yields.
+        """
+        if hasattr(records, "__aiter__"):
+            count = 0
+            async for record in records:  # type: ignore[union-attr]
+                await self.submit(*record)
+                count += 1
+            return count
+        self._check_running()
+        batch = admit_events(self._evaluator, records, self._auto_extend)
+        await self._enqueue(batch)
+        return len(batch)
+
+    def _check_running(self) -> None:
         self._raise_if_failed()
         if self._applier is None:
             raise ConfigurationError(
                 "the session is not running; use 'async with StreamSession()' "
                 "or call start() first"
             )
-        await self._queue.put((int(worker), int(task), int(label)))
-        # Increment only after the (possibly parked) put succeeds, in one
+
+    async def _enqueue(self, events: list[tuple[int, int, int]]) -> None:
+        await self._queue.put_many(events)
+        # Count only after the (possibly parked) put_many returns, in one
         # yield-free step: concurrent producers that both read the counter
         # before awaiting would otherwise lose increments, letting flush()
         # return before everything submitted was applied.
-        self._submitted_seq += 1
-        return self._submitted_seq
-
-    async def submit_many(
-        self, records: Iterable[tuple[int, int, int]] | AsyncIterable
-    ) -> int:
-        """Submit a collection (sync or async iterable); returns the count."""
-        count = 0
-        if hasattr(records, "__aiter__"):
-            async for record in records:  # type: ignore[union-attr]
-                await self.submit(*record)
-                count += 1
-        else:
-            for record in records:  # type: ignore[union-attr]
-                await self.submit(*record)
-                count += 1
-        return count
+        self._submitted_seq += len(events)
 
     async def flush(self) -> int:
         """Wait until everything submitted so far is applied.
@@ -529,7 +616,7 @@ class StreamSession:
                 matrix=self._evaluator.matrix.copy(),
                 estimates=self._evaluator.estimate_all(),
                 applied_events=self._applied_seq,
-                applied_batches=len(self._batches),
+                applied_batches=self._batch_count,
             )
 
     # ------------------------------------------------------------------ #
@@ -557,6 +644,7 @@ class StreamSession:
                         batch, auto_extend=self._auto_extend
                     )
                 self._applied_seq = last_seq
+                self._batch_count += 1
                 self._batches.append(
                     BatchRecord(
                         index=len(self._batches),

@@ -34,10 +34,6 @@ from repro.serve.session import StreamSession
 
 __all__ = ["feed_session", "iter_ndjson", "parse_event"]
 
-#: Keys of the object event form, in record order.
-_EVENT_KEYS = ("worker", "task", "label")
-
-
 def parse_event(line: str | bytes | dict | list) -> tuple[int, int, int] | None:
     """Parse one NDJSON event into a ``(worker, task, label)`` record.
 
@@ -59,15 +55,20 @@ def parse_event(line: str | bytes | dict | list) -> tuple[int, int, int] | None:
         decoded = line
     if isinstance(decoded, dict):
         try:
-            return tuple(int(decoded[key]) for key in _EVENT_KEYS)  # type: ignore[return-value]
+            return (
+                int(decoded["worker"]),
+                int(decoded["task"]),
+                int(decoded["label"]),
+            )
         except (KeyError, TypeError, ValueError) as error:
             raise DataValidationError(
                 f"NDJSON event needs integer 'worker'/'task'/'label' keys: "
                 f"{decoded!r}"
             ) from error
     if isinstance(decoded, (list, tuple)) and len(decoded) == 3:
+        worker, task, label = decoded
         try:
-            return tuple(int(value) for value in decoded)  # type: ignore[return-value]
+            return (int(worker), int(task), int(label))
         except (TypeError, ValueError) as error:
             raise DataValidationError(
                 f"NDJSON array event must be three integers: {decoded!r}"

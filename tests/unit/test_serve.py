@@ -249,7 +249,14 @@ class TestStreamSession:
         async def scenario():
             session = StreamSession(auto_extend=False)
             session.start()
-            await session.submit(-3, 0, 1)  # invalid id: fails in apply
+            with pytest.raises(DataValidationError):
+                await session.submit(-3, 0, 1)  # rejected at admission
+
+            def failing_apply(records, auto_extend=True):
+                raise DataValidationError("injected apply failure")
+
+            session.evaluator.apply_batch = failing_apply
+            await session.submit(0, 0, 1)
             with pytest.raises(DataValidationError):
                 await session.flush()
             with pytest.raises(DataValidationError):
@@ -321,6 +328,8 @@ class TestApplyBatchAtomicity:
         # for them).
         with pytest.raises(DataValidationError):
             evaluator.apply_batch([(0, 2, 1), (-1, 2, 0)])
+        with pytest.raises(DataValidationError):
+            evaluator.apply_batch([(0, 2, 1, 5)])  # not a triple
         assert evaluator.matrix.n_responses == 4
         # The evaluator is still healthy: subsequent valid batches apply
         # and serve estimates equal to a from-scratch build.
@@ -337,7 +346,12 @@ class TestConcurrencyRegressions:
         async def scenario():
             session = StreamSession(auto_extend=False, maxsize=2, max_batch=1)
             session.start()
-            await session.submit(-5, 0, 1)  # will fail in apply
+
+            def failing_apply(records, auto_extend=True):
+                raise DataValidationError("injected apply failure")
+
+            session.evaluator.apply_batch = failing_apply
+            await session.submit(0, 0, 1)  # will fail in apply
 
             async def spam():
                 for _ in range(50):
