@@ -22,17 +22,9 @@ complement the CI crash-smoke job runs:
 Any divergence — a lost acknowledged batch, a double-applied record, crash
 residue parsed as data — shows up as a table diff and a non-zero exit.
 
-``--writers N`` (N > 1) runs the same drill against the multi-writer
-session: the child ingests through N consistent-hash partitions, each
-appending to its own ``wal-<p>.ndjson`` segment, and the SIGKILL lands
-while the segments are growing concurrently — so the resume exercises the
-per-segment tail truncation and the k-way merge, not just single-WAL
-replay.  The byte-diff acceptance is identical.
-
 Usage::
 
     PYTHONPATH=src python benchmarks/crash_smoke.py [--seed N] [--events N]
-    PYTHONPATH=src python benchmarks/crash_smoke.py --writers 3
 """
 
 from __future__ import annotations
@@ -77,9 +69,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--batch-size", type=int, default=64)
     parser.add_argument("--snapshot-every", type=int, default=5,
                         help="snapshot cadence of the killed session (batches)")
-    parser.add_argument("--writers", type=int, default=1,
-                        help="ingest partition count of the killed session "
-                        "(>1 drills the multi-writer segment layout)")
     args = parser.parse_args(argv)
     rng = random.Random(args.seed)
 
@@ -113,7 +102,6 @@ def main(argv: list[str] | None = None) -> int:
                 "--batch-size", str(args.batch_size),
                 "--durable", durable_dir,
                 "--snapshot-every", str(args.snapshot_every),
-                "--writers", str(args.writers),
             ],
             stdout=subprocess.DEVNULL,
             stderr=subprocess.PIPE,
@@ -132,15 +120,8 @@ def main(argv: list[str] | None = None) -> int:
             killed = False
 
             def wal_size() -> int:
-                # Sum across the log files of either layout: wal.ndjson
-                # single-writer, wal-<p>.ndjson segments multi-writer.
-                if not os.path.isdir(durable_dir):
-                    return 0
-                return sum(
-                    os.path.getsize(os.path.join(durable_dir, name))
-                    for name in os.listdir(durable_dir)
-                    if name.startswith("wal") and name.endswith(".ndjson")
-                )
+                wal = os.path.join(durable_dir, "wal.ndjson")
+                return os.path.getsize(wal) if os.path.exists(wal) else 0
 
             def kill_child(fed: int) -> None:
                 os.kill(child.pid, signal.SIGKILL)
@@ -192,29 +173,16 @@ def main(argv: list[str] | None = None) -> int:
         snapshots = sorted(
             name for name in os.listdir(durable_dir) if name.endswith(".snap")
         )
-        logs = sorted(
-            name
-            for name in os.listdir(durable_dir)
-            if name.startswith("wal") and name.endswith(".ndjson")
-        )
         print(
-            f"durable dir after crash: {wal_size()} WAL bytes across "
-            f"{len(logs)} log file(s) {logs}, {len(snapshots)} snapshot(s)"
+            f"durable dir after crash: {wal_size()} WAL bytes, "
+            f"{len(snapshots)} snapshot(s)"
         )
 
         # Resume over the full fixture: the CLI resumes the directory,
-        # replays the WAL delta (merging segments in the multi-writer
-        # layout), then re-feeds the file (idempotent).
+        # replays the WAL delta, then re-feeds the file (idempotent).
         resumed_out = os.path.join(root, "resumed.txt")
         batch_out = os.path.join(root, "batch.txt")
-        _run_cli(
-            [
-                "ingest", ndjson,
-                "--durable", durable_dir,
-                "--writers", str(args.writers),
-            ],
-            resumed_out,
-        )
+        _run_cli(["ingest", ndjson, "--durable", durable_dir], resumed_out)
         _run_cli(["evaluate", csv, "--backend", "dense"], batch_out)
 
         with open(resumed_out, "r", encoding="utf-8") as handle:

@@ -396,15 +396,9 @@ class IncrementalEvaluator:
         evaluator untouched.  Returns the per-batch stats the streaming
         session reports.
 
-        Partition-scoped interleaving is safe: multi-writer sessions
-        (:mod:`repro.serve.multiwriter`) call this with batches from
-        different worker partitions in whatever order they complete.
-        Because a partition owns *all* events of its workers, batches from
-        different partitions touch disjoint response cells — they commute
-        under the last-write-wins upserts — and the ledger's invalidation
-        is order-free over the changed-pair set, so any per-partition-
-        order-preserving interleaving accumulates the same matrix and
-        serves the same bits.
+        :class:`~repro.serve.session.StreamSession` calls this once per
+        micro-batch, in submission order, under its writer lock; durable
+        resume replays logged batches through it in log order.
         """
         if not isinstance(records, (list, tuple, np.ndarray)):
             records = list(records)

@@ -2,8 +2,9 @@
 
 The streaming subsystem (:mod:`repro.serve`) keeps all state in memory; a
 crash replays the world from scratch.  This module is the persistence layer
-behind ``StreamSession(durable=...)`` / ``StreamSession.resume(...)``,
-built from two artifacts living in one directory:
+behind ``SessionConfig(durable=...)`` (created or resumed by
+:func:`repro.serve.open_session`), built from two artifacts living in one
+directory:
 
 * an append-only NDJSON **write-ahead log** (``wal.ndjson``) — the applier
   fsyncs each micro-batch record *before* applying it, so any event whose
@@ -34,11 +35,7 @@ Every other line is a batch record::
 
 ``seq`` is the inclusive 1-based sequence range of the batch's events in
 submission order; ``crc`` is the CRC-32 of the canonical JSON encoding of
-the record without the ``crc`` key (sorted keys, no whitespace).  Records
-written by a multi-writer session (:mod:`repro.serve.multiwriter`) carry
-one extra key — ``"epoch"``, the session-global snapshot-fence epoch the
-record was appended under — which participates in the CRC; single-writer
-logs never write it, so the on-disk ``wal.ndjson`` format is unchanged.  A missing
+the record without the ``crc`` key (sorted keys, no whitespace).  A missing
 or future-version header raises
 :class:`~repro.exceptions.DurableStateError`; a record that fails to
 decode, fails its CRC, or lacks its trailing newline marks the **tail** of
@@ -49,7 +46,15 @@ with garbage).  Records are idempotent under replay: a record whose
 ``last`` sequence is already covered by the restored state is skipped, so
 duplicated batches (or replaying twice) cannot double-apply; a *gap* in
 the sequence numbering, by contrast, means data loss in the middle of the
-log and raises.
+log and raises.  A record that decodes but holds events the session's
+admission rule rejects (a log written before admission control existed)
+is not a tail: resume applies its valid events, skips the others and
+counts them in :attr:`DurableStore.quarantined_events`.
+
+Directories in the removed multi-writer layout (``wal-<p>.ndjson``
+segments, snapshots whose meta carries a ``"multiwriter"`` key) are
+refused with :class:`~repro.exceptions.DurableStateError` rather than
+resumed as a single log, which would silently drop the segments' events.
 
 Snapshot format (version 1)
 ---------------------------
@@ -100,6 +105,8 @@ __all__ = [
 WAL_FORMAT = "repro-durable-wal"
 WAL_VERSION = 1
 WAL_NAME = "wal.ndjson"
+#: Segment logs of the removed multi-writer layout; never read or written.
+LEGACY_SEGMENT_GLOB = "wal-*.ndjson"
 
 SNAPSHOT_FORMAT = "repro-durable-snapshot"
 SNAPSHOT_VERSION = 1
@@ -113,13 +120,8 @@ def _canonical(payload: dict) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _record_crc(
-    seq: list[int], events: list[list[int]], epoch: int | None = None
-) -> int:
-    payload: dict = {"seq": seq, "events": events}
-    if epoch is not None:
-        payload["epoch"] = epoch
-    return zlib.crc32(_canonical(payload))
+def _record_crc(seq: list[int], events: list[list[int]]) -> int:
+    return zlib.crc32(_canonical({"seq": seq, "events": events}))
 
 
 # --------------------------------------------------------------------------- #
@@ -251,10 +253,6 @@ class DurableStore:
         How many of the newest snapshots survive pruning.  More than one,
         so a snapshot that fails validation on resume (killed mid-rename
         races are impossible, but torn disks are not) can fall back.
-    wal_name:
-        Filename of the log inside ``directory``.  The default is the
-        single-writer ``wal.ndjson``; multi-writer sessions open one store
-        per partition with ``wal-<partition>.ndjson`` segment names.
     """
 
     def __init__(
@@ -264,7 +262,6 @@ class DurableStore:
         snapshot_every: int | None = None,
         fsync: bool = True,
         keep_snapshots: int = 2,
-        wal_name: str = WAL_NAME,
     ) -> None:
         if snapshot_every is not None and snapshot_every < 1:
             raise ConfigurationError(
@@ -278,7 +275,6 @@ class DurableStore:
         self.snapshot_every = snapshot_every
         self.fsync = fsync
         self.keep_snapshots = keep_snapshots
-        self.wal_name = wal_name
         self._log: IO[str] | None = None
         self._total_batches = 0
         self._since_snapshot = 0
@@ -295,17 +291,15 @@ class DurableStore:
         #: WAL batch records discarded as a truncated/corrupt tail at the
         #: last :meth:`read_batches` (diagnostics; 0 on a clean log).
         self.discarded_tail_records = 0
+        #: Events skipped on resume because the session's admission rule
+        #: rejects them (see ``repro.serve.session._resume_session``).
+        self.quarantined_events = 0
 
     # -- state probing -------------------------------------------------- #
 
     @property
     def wal_path(self) -> Path:
-        return self.directory / self.wal_name
-
-    @property
-    def wal_bytes(self) -> int:
-        """Byte length of the open log (header + valid records)."""
-        return self._wal_bytes
+        return self.directory / WAL_NAME
 
     @classmethod
     def has_state(cls, directory: str | Path) -> bool:
@@ -315,6 +309,26 @@ class DurableStore:
         if wal.exists() and wal.stat().st_size > 0:
             return True
         return any(directory.glob(f"snapshot-*{SNAPSHOT_SUFFIX}"))
+
+    @staticmethod
+    def refuse_legacy_layout(directory: str | Path) -> None:
+        """Raise when ``directory`` holds multi-writer WAL segments.
+
+        Resuming such a directory as a single log would start over beside
+        the segments (or from a snapshot that omits their later records)
+        and silently lose acknowledged events.  Only reads the directory.
+        """
+        segments = sorted(
+            path.name
+            for path in Path(directory).glob(LEGACY_SEGMENT_GLOB)
+            if path.name[len("wal-") : -len(".ndjson")].isdigit()
+        )
+        if segments:
+            raise DurableStateError(
+                f"durable directory {directory} uses the removed multi-writer "
+                f"layout (WAL segments {', '.join(segments)}); this build "
+                "reads only a single wal.ndjson and leaves the directory as is"
+            )
 
     def snapshot_paths(self) -> list[Path]:
         """Snapshot files, newest (highest applied sequence) first."""
@@ -335,6 +349,7 @@ class DurableStore:
         """
         if self._log is not None:
             return
+        self.refuse_legacy_layout(self.directory)
         if not resume and self.has_state(self.directory):
             raise DurableStateError(
                 f"durable directory {self.directory} already contains state; "
@@ -372,26 +387,18 @@ class DurableStore:
         first_seq: int,
         last_seq: int,
         events: list[tuple[int, int, int]],
-        epoch: int | None = None,
     ) -> None:
         """Append one micro-batch record and (by default) fsync it.
 
         Called by the session's applier *before* ``apply_batch``: once this
         returns, a crash at any later point replays the batch from the log,
         so a flush acknowledged after the apply can never lose events.
-        Multi-writer sessions pass ``epoch`` (the current snapshot-fence
-        epoch) so the segment merge on resume has a global order key;
-        single-writer appends leave it ``None`` and the record format is
-        byte-identical to version-1 logs written before epochs existed.
         """
         if self._log is None:
             raise ConfigurationError("the durable store is not open")
         seq = [int(first_seq), int(last_seq)]
         payload = [[int(w), int(t), int(label)] for w, t, label in events]
-        record = {"seq": seq, "events": payload}
-        if epoch is not None:
-            record["epoch"] = int(epoch)
-        record["crc"] = _record_crc(seq, payload, record.get("epoch"))
+        record = {"seq": seq, "events": payload, "crc": _record_crc(seq, payload)}
         line = json.dumps(record, sort_keys=True, separators=(",", ":"))
         self._log.write(line)
         self._log.write("\n")
@@ -414,20 +421,6 @@ class DurableStore:
         (the log was truncated below the snapshot) falls back to a full
         scan, which replay then deduplicates by sequence.
         """
-        return [
-            (first, last, events)
-            for _, first, last, events in self.read_batches_with_epoch(start_bytes)
-        ]
-
-    def read_batches_with_epoch(
-        self, start_bytes: int = 0
-    ) -> list[tuple[int, int, int, list[tuple[int, int, int]]]]:
-        """Like :meth:`read_batches`, keeping each record's fence epoch.
-
-        Returns ``(epoch, first, last, events)`` tuples; records without an
-        ``epoch`` key (single-writer logs) read as epoch 0.  The segment
-        merge in :mod:`repro.serve.multiwriter` orders on this.
-        """
         batches, discarded, valid_bytes = self._scan_log(start_bytes)
         self.discarded_tail_records = discarded
         self._scan_valid_bytes = valid_bytes
@@ -435,7 +428,7 @@ class DurableStore:
 
     def _scan_log(
         self, start_bytes: int = 0
-    ) -> tuple[list[tuple[int, int, int, list[tuple[int, int, int]]]], int, int]:
+    ) -> tuple[list[tuple[int, int, list[tuple[int, int, int]]]], int, int]:
         """Parse the WAL: ``(valid batches, discarded records, valid bytes)``.
 
         Stops at the first record that is truncated (no trailing newline),
@@ -483,7 +476,7 @@ class DurableStore:
         else:
             scan_from = 1
             valid_bytes = header_bytes
-        batches: list[tuple[int, int, int, list[tuple[int, int, int]]]] = []
+        batches: list[tuple[int, int, list[tuple[int, int, int]]]] = []
         discarded = 1 if partial else 0
         for index, raw in enumerate(complete[scan_from:], start=scan_from):
             record = self._parse_record(raw)
@@ -499,7 +492,7 @@ class DurableStore:
     @staticmethod
     def _parse_record(
         raw: bytes,
-    ) -> tuple[int, int, int, list[tuple[int, int, int]]] | None:
+    ) -> tuple[int, int, list[tuple[int, int, int]]] | None:
         try:
             record = json.loads(raw)
         except json.JSONDecodeError:
@@ -509,22 +502,20 @@ class DurableStore:
         seq = record.get("seq")
         events = record.get("events")
         crc = record.get("crc")
-        epoch = record.get("epoch")
         if (
             not isinstance(seq, list)
             or len(seq) != 2
             or not isinstance(events, list)
             or not isinstance(crc, int)
-            or (epoch is not None and not isinstance(epoch, int))
         ):
             return None
-        if _record_crc(seq, events, epoch) != crc:
+        if _record_crc(seq, events) != crc:
             return None
         try:
             parsed = [(int(w), int(t), int(label)) for w, t, label in events]
         except (TypeError, ValueError):
             return None
-        return int(epoch or 0), int(seq[0]), int(seq[1]), parsed
+        return int(seq[0]), int(seq[1]), parsed
 
     # -- snapshots -------------------------------------------------------- #
 

@@ -1,13 +1,10 @@
 """Newline-JSON TCP server over a streaming session.
 
 ``repro-crowd serve`` exposes the streaming ingestion subsystem on a
-socket.  The session underneath comes from the
-:func:`repro.serve.open_session` front door — the CLI flags map onto one
-:class:`~repro.serve.config.SessionConfig` — so the server runs unchanged
-over a single-writer :class:`~repro.serve.session.StreamSession` or a
-partitioned :class:`~repro.serve.multiwriter.MultiWriterSession`
-(``--writers N``): both expose the ``submit_many`` / ``flush`` / reader
-surface the protocol uses.  Clients write one JSON document per line.
+socket.  The :class:`~repro.serve.session.StreamSession` underneath comes
+from the :func:`repro.serve.open_session` front door — the CLI flags map
+onto one :class:`~repro.serve.config.SessionConfig`.  Clients write one
+JSON document per line.
 Event lines (the :func:`~repro.serve.sources.parse_event` shapes) are
 submitted to the session — no per-event reply, so a producer can pipeline
 at queue speed and the bounded queue's backpressure propagates to the
@@ -25,7 +22,8 @@ read-your-writes):
 ``{"query": "flush"}``
     ``{"applied": n}`` once everything submitted so far is applied
 ``{"query": "stats"}``
-    queue/batch counters (events, batches, pending, matrix shape)
+    queue/batch counters (events, batches, pending, matrix shape) and
+    ``quarantined``, the logged events a durable resume skipped
 ``{"query": "shutdown"}``
     ``{"ok": true}``, then the server stops accepting and exits
 
@@ -69,14 +67,9 @@ from typing import Callable
 import numpy as np
 
 from repro.exceptions import CrowdAssessmentError
-from repro.serve.multiwriter import MultiWriterSession
 from repro.serve.session import StreamSession
 from repro.serve.sources import parse_event
 from repro.types import WorkerErrorEstimate
-
-#: Either session shape serves the protocol: the handlers only touch the
-#: shared submit/flush/reader surface.
-Session = StreamSession | MultiWriterSession
 
 __all__ = ["MAX_LINE_BYTES", "READ_BYTES", "decode_lines", "serve_ndjson"]
 
@@ -172,7 +165,7 @@ def _estimate_payload(estimate: WorkerErrorEstimate) -> dict:
 
 
 async def _answer_query(
-    session: Session, query: dict, stop: asyncio.Event
+    session: StreamSession, query: dict, stop: asyncio.Event
 ) -> dict:
     kind = query.get("query")
     if kind == "evaluate_all":
@@ -196,6 +189,7 @@ async def _answer_query(
         return {"applied": await session.flush()}
     if kind == "stats":
         matrix = session.evaluator.matrix
+        store = session.durable
         return {
             "submitted": session.submitted_events,
             "applied": session.applied_events,
@@ -204,6 +198,7 @@ async def _answer_query(
             "n_workers": matrix.n_workers,
             "n_tasks": matrix.n_tasks,
             "n_responses": matrix.n_responses,
+            "quarantined": 0 if store is None else store.quarantined_events,
         }
     if kind == "shutdown":
         stop.set()
@@ -212,7 +207,7 @@ async def _answer_query(
 
 
 async def serve_ndjson(
-    session: Session,
+    session: StreamSession,
     host: str = "127.0.0.1",
     port: int = 0,
     ready: Callable[[str, int], None] | None = None,

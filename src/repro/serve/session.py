@@ -35,43 +35,45 @@ Unseen worker/task ids grow the evaluator through the delta extension path
 (no backend rebuild) once per batch, so a live stream never needs
 pre-declared dimensions.
 
-Construction — :class:`~repro.serve.config.SessionConfig` is canonical
-----------------------------------------------------------------------
+Construction
+------------
 
-The canonical way to build a session is a validated, frozen
+A session is built from a validated, frozen
 :class:`~repro.serve.config.SessionConfig` handed to
-:func:`repro.serve.open_session`, which resolves create-vs-resume and the
-single- vs multi-writer dispatch in one place.  The legacy keyword
-arguments on ``StreamSession.__init__`` and the ``resume`` /
-``open_durable`` classmethods keep working as thin shims that build the
-equivalent config and emit a :class:`DeprecationWarning`.
+:func:`repro.serve.open_session`, which resolves create-vs-resume in one
+place.
+
+Memory
+------
+
+The session keeps running totals of the per-batch invalidation counters
+and only the newest :data:`BATCH_HISTORY` :class:`BatchRecord` entries, so
+a long-running session's bookkeeping does not grow with the stream.
 
 Durability (``SessionConfig(durable=...)``)
 -------------------------------------------
 
-A session given a durable directory (or a
-:class:`~repro.serve.durable.DurableStore`) appends every micro-batch to a
+A session given a durable directory appends every micro-batch to a
 write-ahead log — fsynced *before* ``apply_batch`` — and, when
 ``snapshot_every`` is set, periodically checkpoints the full evaluator
 state with atomic temp-file + rename snapshots.  After a crash,
 ``open_session`` on the same directory restores the newest valid snapshot,
 replays only the WAL records beyond it (idempotently — duplicated or
 partially-covered records cannot double-apply) and reopens the log,
-restarting in O(delta).  The resumed session serves estimates bit-identical
-to a session that was never interrupted; the contract and on-disk formats
-are documented in :mod:`repro.serve.durable` and the capability matrix in
-:mod:`repro.core.agreement`.  Multi-writer ingestion (N partitioned
-queues, per-partition WAL segments, fenced snapshots) lives in
-:mod:`repro.serve.multiwriter` and reuses this module's applier discipline
-per partition.
+restarting in O(delta).  Logged events the admission rule rejects (logs
+written before admission control existed) are skipped and counted rather
+than failing the resume.  The resumed session serves estimates
+bit-identical to a session that was never interrupted; the contract and
+on-disk formats are documented in :mod:`repro.serve.durable` and the
+capability matrix in :mod:`repro.core.agreement`.
 """
 
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from collections.abc import AsyncIterable, Iterable
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.core.incremental import BatchApplyStats, IncrementalEvaluator
 from repro.core.spammer_filter import DEFAULT_SPAMMER_THRESHOLD
@@ -82,7 +84,7 @@ from repro.exceptions import (
     DurableStateError,
     InsufficientDataError,
 )
-from repro.serve.config import SessionConfig, _warn_legacy
+from repro.serve.config import SessionConfig
 from repro.serve.durable import DurableStore
 from repro.serve.queue import ResponseQueue
 from repro.types import WorkerErrorEstimate
@@ -95,44 +97,8 @@ __all__ = [
     "replay_stream",
 ]
 
-#: The keyword knobs the pre-``SessionConfig`` constructor accepted; they
-#: map one-to-one onto ``SessionConfig`` fields.
-_LEGACY_INIT_KWARGS = frozenset(
-    {
-        "maxsize",
-        "max_batch",
-        "auto_extend",
-        "confidence",
-        "backend",
-        "shards",
-        "durable",
-        "snapshot_every",
-        "fsync",
-    }
-)
-
-
-def _majority_rates(
-    evaluator: IncrementalEvaluator,
-) -> dict[int, float | None]:
-    """Per-worker majority-disagreement rates (None = not scorable yet).
-
-    Shared by the single- and multi-writer sessions' ``spammer_scores``;
-    callers hold the session writer lock.
-    """
-    matrix = evaluator.matrix
-    backend = evaluator._backend
-    if backend is not None:
-        rates = backend.majority_disagreement_rates()
-    else:
-        rates = []
-        for worker in range(matrix.n_workers):
-            try:
-                rates.append(matrix.disagreement_with_majority(worker))
-            except InsufficientDataError:
-                rates.append(None)
-    return dict(enumerate(rates))
-
+#: How many of the newest :class:`BatchRecord` entries a session keeps.
+BATCH_HISTORY = 1024
 
 #: Largest id a session admits while ``auto_extend`` grows the matrix: the
 #: applier carries ids as int64 arrays.
@@ -146,10 +112,9 @@ def admit_events(
 ) -> list[tuple[int, int, int]]:
     """Normalize and validate a run of events before it is enqueued.
 
-    Admission control shared by both session shapes: an event the applier
-    could not apply must never reach the queue, because the durable applier
-    logs a batch before applying it and a logged bad event would fail
-    every later resume.  Rejects, with a
+    Admission control at the session boundary: an event the applier could
+    not apply must never reach the queue, because the durable applier logs
+    a batch before applying it.  Rejects, with a
     :class:`~repro.exceptions.DataValidationError` naming the first bad
     event and admitting nothing of the run: anything that is not an
     integer triple, negative ids, labels outside ``[0, arity)``, and —
@@ -233,19 +198,12 @@ def replay_stream(
 
 @dataclass(frozen=True)
 class BatchRecord:
-    """One applied micro-batch: position in the stream plus its effects.
-
-    ``partition`` is the ingest partition the batch came from — always 0
-    for the single-writer :class:`StreamSession`; multi-writer sessions
-    record the consistent-hash partition, and ``first_seq``/``last_seq``
-    are then *per-partition* sequence numbers.
-    """
+    """One applied micro-batch: position in the stream plus its effects."""
 
     index: int
     first_seq: int
     last_seq: int
     stats: BatchApplyStats
-    partition: int = 0
 
 
 @dataclass(frozen=True)
@@ -261,11 +219,9 @@ class SessionSnapshot:
 class StreamSession:
     """Async front-end that feeds a response stream into the evaluator.
 
-    The canonical construction path is a
-    :class:`~repro.serve.config.SessionConfig` through
+    Built from a :class:`~repro.serve.config.SessionConfig` through
     :func:`repro.serve.open_session` (which also resolves create-vs-resume
-    for durable directories and dispatches to the multi-writer session for
-    ``writers > 1``)::
+    for durable directories)::
 
         from repro.serve import SessionConfig, open_session
 
@@ -283,17 +239,8 @@ class StreamSession:
         applies to a default-constructed evaluator — configure an explicit
         one directly.
     config:
-        The :class:`~repro.serve.config.SessionConfig` for this session.
-        ``writers`` must resolve to 1 (multi-writer sessions are built by
-        ``open_session``).
-    **legacy:
-        The pre-``SessionConfig`` keyword knobs (``maxsize`` /
-        ``max_batch`` / ``auto_extend`` / ``confidence`` / ``backend`` /
-        ``shards`` / ``durable`` / ``snapshot_every`` / ``fsync``).
-        Deprecated: they are folded into an equivalent config (field names
-        match one-to-one) with a :class:`DeprecationWarning`; ``durable``
-        may still be a prepared :class:`~repro.serve.durable.DurableStore`.
-        Mutually exclusive with ``config``.
+        The :class:`~repro.serve.config.SessionConfig` for this session
+        (defaults when omitted).
     """
 
     def __init__(
@@ -302,43 +249,15 @@ class StreamSession:
         *,
         config: SessionConfig | None = None,
         _store: DurableStore | None = None,
-        **legacy,
     ) -> None:
-        store = _store
-        if config is not None:
-            if legacy:
-                raise ConfigurationError(
-                    "pass either config=SessionConfig(...) or the legacy "
-                    "keyword arguments, not both"
-                )
-            if not isinstance(config, SessionConfig):
-                raise ConfigurationError(
-                    "config must be a repro.serve.SessionConfig, got "
-                    f"{type(config).__name__}"
-                )
-        else:
-            unknown = set(legacy) - _LEGACY_INIT_KWARGS
-            if unknown:
-                raise TypeError(
-                    "StreamSession() got unexpected keyword arguments "
-                    f"{sorted(unknown)}"
-                )
-            if legacy:
-                _warn_legacy(
-                    "constructing StreamSession from keyword arguments"
-                )
-            durable = legacy.pop("durable", None)
-            if isinstance(durable, DurableStore):
-                # A prepared store keeps its own cadence/fsync settings;
-                # the config records where it lives.
-                store = durable
-                durable = durable.directory
-            config = SessionConfig(durable=durable, **legacy)
-        if config.resolved_writers() != 1:
+        if config is None:
+            config = SessionConfig()
+        elif not isinstance(config, SessionConfig):
             raise ConfigurationError(
-                "StreamSession is single-writer; use repro.serve."
-                f"open_session() for writers={config.writers!r}"
+                "config must be a repro.serve.SessionConfig, got "
+                f"{type(config).__name__}"
             )
+        store = _store
         if evaluator is None:
             evaluator = IncrementalEvaluator(
                 n_workers=3,
@@ -365,8 +284,10 @@ class StreamSession:
         self._applied = asyncio.Condition()
         self._submitted_seq = 0
         self._applied_seq = 0
-        self._batches: list[BatchRecord] = []
+        self._batches: deque[BatchRecord] = deque(maxlen=BATCH_HISTORY)
         self._batch_count = 0
+        self._backend_invalidations = 0
+        self._cached_invalidated = 0
         self._applier: asyncio.Task | None = None
         self._error: BaseException | None = None
 
@@ -424,7 +345,7 @@ class StreamSession:
         final snapshot, leaving the durable directory exactly as a SIGKILL
         would (modulo the OS page cache): acknowledged batches in the WAL,
         possibly a half-applied one.  The kill/resume fuzz suite uses this
-        to exercise :meth:`resume` at arbitrary cut points in-process.
+        to exercise resume at arbitrary cut points in-process.
         """
         if self._applier is not None:
             self._applier.cancel()
@@ -482,13 +403,24 @@ class StreamSession:
 
     @property
     def applied_batches(self) -> list[BatchRecord]:
-        """Per-batch application records (size, sequence range, stats)."""
+        """The newest (up to :data:`BATCH_HISTORY`) batch application
+        records: size, sequence range, stats."""
         return list(self._batches)
 
     @property
     def applied_batch_count(self) -> int:
         """How many batches this session applied (no record copying)."""
         return self._batch_count
+
+    @property
+    def backend_invalidations(self) -> int:
+        """Sum of ``stats.backend_invalidations`` over every applied batch."""
+        return self._backend_invalidations
+
+    @property
+    def cached_invalidated(self) -> int:
+        """Sum of ``stats.cached_invalidated`` over every applied batch."""
+        return self._cached_invalidated
 
     async def submit(self, worker: int, task: int, label: int) -> int:
         """Enqueue one response; returns its 1-based sequence number.
@@ -601,7 +533,17 @@ class StreamSession:
         near-spammers (Section III-E2's filter criterion).
         """
         async with self._lock:
-            return _majority_rates(self._evaluator)
+            backend = self._evaluator._backend
+            if backend is not None:
+                return dict(enumerate(backend.majority_disagreement_rates()))
+            matrix = self._evaluator.matrix
+            rates: dict[int, float | None] = {}
+            for worker in range(matrix.n_workers):
+                try:
+                    rates[worker] = matrix.disagreement_with_majority(worker)
+                except InsufficientDataError:
+                    rates[worker] = None
+            return rates
 
     async def snapshot(self) -> SessionSnapshot:
         """Deep-copied consistent state at the last applied batch boundary.
@@ -644,15 +586,12 @@ class StreamSession:
                         batch, auto_extend=self._auto_extend
                     )
                 self._applied_seq = last_seq
-                self._batch_count += 1
                 self._batches.append(
-                    BatchRecord(
-                        index=len(self._batches),
-                        first_seq=first_seq,
-                        last_seq=last_seq,
-                        stats=stats,
-                    )
+                    BatchRecord(self._batch_count, first_seq, last_seq, stats)
                 )
+                self._batch_count += 1
+                self._backend_invalidations += stats.backend_invalidations
+                self._cached_invalidated += stats.cached_invalidated
                 if self._durable is not None:
                     self._durable.record_applied(self._evaluator, last_seq)
             except BaseException as error:  # surfaced at submit()/flush()
@@ -669,119 +608,37 @@ class StreamSession:
             async with self._applied:
                 self._applied.notify_all()
 
-    # ------------------------------------------------------------------ #
-    # Durable resume
-    # ------------------------------------------------------------------ #
 
-    @classmethod
-    def resume(
-        cls,
-        directory: str | Path | DurableStore,
-        *,
-        confidence: float | None = None,
-        backend: str | None = None,
-        optimize_weights: bool | None = None,
-        shards: int | str = 1,
-        maxsize: int = 4096,
-        max_batch: int = 256,
-        auto_extend: bool = True,
-        snapshot_every: int | None = None,
-        fsync: bool = True,
-    ) -> "StreamSession":
-        """Rebuild a session from a durable directory in O(delta).
+def _resume_session(config: SessionConfig) -> StreamSession:
+    """Rebuild a session from ``config.durable`` in O(delta).
 
-        Deprecated shim: build a :class:`~repro.serve.config.SessionConfig`
-        and call :func:`repro.serve.open_session` instead (it resumes a
-        directory that holds state).  The resume semantics are unchanged:
-        newest valid snapshot, idempotent replay of the WAL delta, crash
-        tail truncated, sequence numbering continued; ``confidence`` /
-        ``backend`` / ``optimize_weights`` default to the persisted
-        configuration and override it when passed.  Raises
-        :class:`~repro.exceptions.DurableStateError` on a sequence *gap*
-        between the restored state and the surviving log — data loss in
-        the middle of the history, not crash residue.
-        """
-        _warn_legacy("StreamSession.resume()")
-        store = directory if isinstance(directory, DurableStore) else None
-        config = SessionConfig(
-            confidence=confidence,
-            backend=backend,
-            optimize_weights=optimize_weights,
-            shards=shards,
-            maxsize=maxsize,
-            max_batch=max_batch,
-            auto_extend=auto_extend,
-            durable=store.directory if store is not None else directory,
-            snapshot_every=snapshot_every,
-            fsync=fsync,
-        )
-        return _resume_session(config, store=store)
-
-    @classmethod
-    def open_durable(
-        cls,
-        directory: str | Path,
-        *,
-        confidence: float | None = None,
-        backend: str | None = None,
-        optimize_weights: bool | None = None,
-        shards: int | str = 1,
-        maxsize: int = 4096,
-        max_batch: int = 256,
-        auto_extend: bool = True,
-        snapshot_every: int | None = None,
-        fsync: bool = True,
-    ) -> "StreamSession":
-        """Resume ``directory`` when it holds state, else start fresh in it.
-
-        Deprecated shim for :func:`repro.serve.open_session`, which is the
-        create-or-resume front door now.
-        """
-        _warn_legacy("StreamSession.open_durable()")
-        from repro.serve.config import open_session
-
-        return open_session(
-            SessionConfig(
-                confidence=confidence,
-                backend=backend,
-                optimize_weights=optimize_weights,
-                shards=shards,
-                maxsize=maxsize,
-                max_batch=max_batch,
-                auto_extend=auto_extend,
-                durable=directory,
-                snapshot_every=snapshot_every,
-                fsync=fsync,
-            )
-        )
-
-
-def _resume_session(
-    config: SessionConfig, store: DurableStore | None = None
-) -> StreamSession:
-    """Rebuild a single-writer session from ``config.durable`` in O(delta).
-
-    The non-warning internals behind ``open_session`` (and the legacy
-    ``StreamSession.resume`` shim): loads the newest snapshot that
-    validates (checksum-failed or truncated ones fall back to older, then
-    to pure WAL replay), replays the WAL records whose sequences exceed
-    the snapshot — idempotently, so duplicated records or a second replay
-    cannot double-apply — truncates any crash tail off the log and reopens
-    it for append.  The returned session is not yet started; sequence
-    numbering continues from the last applied event.
+    The resume half of :func:`~repro.serve.config.open_session`: loads the
+    newest snapshot that validates (checksum-failed or truncated ones fall
+    back to older, then to pure WAL replay), replays the WAL records whose
+    sequences exceed the snapshot — idempotently, so duplicated records or
+    a second replay cannot double-apply — truncates any crash tail off the
+    log and reopens it for append.  Logged events that :func:`admit_events`
+    rejects are skipped and counted in ``store.quarantined_events``; the
+    sequence accounting still covers them.  Raises
+    :class:`~repro.exceptions.DurableStateError` on a sequence *gap* (data
+    loss in the middle of the history) and on a snapshot written by the
+    removed multi-writer layout, before anything on disk changes.  The
+    returned session is not yet started; sequence numbering continues from
+    the last applied event.
     """
-    if store is None:
-        if config.durable is None:
-            raise ConfigurationError("resume requires a durable directory")
-        store = DurableStore(
-            config.durable,
-            snapshot_every=config.snapshot_every,
-            fsync=config.fsync,
-        )
+    store = DurableStore(
+        config.durable, snapshot_every=config.snapshot_every, fsync=config.fsync
+    )
     loaded = store.load_snapshot_state()
     wal_start = 0
     if loaded is not None:
         meta, arrays = loaded
+        if "multiwriter" in meta:
+            raise DurableStateError(
+                f"durable directory {store.directory} holds a snapshot of the "
+                "removed multi-writer layout; this build resumes only "
+                "single-writer state and leaves the directory as is"
+            )
         evaluator = IncrementalEvaluator.from_state(
             meta,
             arrays,
@@ -807,6 +664,7 @@ def _resume_session(
         applied = 0
         applied_batches = 0
     replayed = 0
+    quarantined = 0
     for first, last, events in store.read_batches(wal_start):
         if last <= applied:
             continue  # already covered by the snapshot (or a duplicate)
@@ -818,9 +676,22 @@ def _resume_session(
             )
         if first <= applied:
             events = events[applied - first + 1 :]
+        try:
+            admit_events(evaluator, events, auto_extend=True)
+        except DataValidationError:
+            # A log written before admission control may hold events the
+            # session now refuses: keep the record's valid events.
+            valid: list[tuple[int, int, int]] = []
+            for event in events:
+                try:
+                    valid += admit_events(evaluator, [event], auto_extend=True)
+                except DataValidationError:
+                    quarantined += 1
+            events = valid
         evaluator.apply_batch(events, auto_extend=True)
         applied = last
         replayed += 1
+    store.quarantined_events = quarantined
     store.open(resume=True)
     store.note_resumed(
         total_batches=applied_batches + replayed, replayed_batches=replayed
@@ -832,3 +703,4 @@ def _resume_session(
     session._submitted_seq = applied
     session._applied_seq = applied
     return session
+

@@ -351,7 +351,7 @@ def test_streamed_microbatch_interleavings_bit_identical(seed):
     from-scratch batch build over the accumulated matrix, bit for bit."""
     import asyncio
 
-    from repro.serve import StreamSession
+    from repro.serve import SessionConfig, open_session
 
     rng = np.random.default_rng(9000 + seed)
     m = int(rng.integers(6, 10))
@@ -376,7 +376,9 @@ def test_streamed_microbatch_interleavings_bit_identical(seed):
     max_batch = int(rng.integers(1, 24))
 
     async def stream(backend):
-        async with StreamSession(backend=backend, max_batch=max_batch) as session:
+        async with open_session(
+            SessionConfig(backend=backend, max_batch=max_batch)
+        ) as session:
             for index, record in enumerate(records):
                 await session.submit(*record)
                 if index in read_points:
@@ -428,7 +430,7 @@ def test_streamed_sharded_sessions_bit_identical(seed):
     legacy per-read observer, batch by batch."""
     import asyncio
 
-    from repro.serve import StreamSession
+    from repro.serve import SessionConfig, open_session
 
     rng = np.random.default_rng(17000 + seed)
     m = int(rng.integers(6, 10))
@@ -454,9 +456,8 @@ def test_streamed_sharded_sessions_bit_identical(seed):
     shards = "process:2" if seed % 8 == 3 else "thread:2"
 
     async def stream(backend):
-        async with StreamSession(
-            backend=backend, max_batch=max_batch, shards=shards
-        ) as session:
+        config = SessionConfig(backend=backend, max_batch=max_batch, shards=shards)
+        async with open_session(config) as session:
             for index, record in enumerate(records):
                 await session.submit(*record)
                 if index in read_points:
@@ -541,7 +542,7 @@ def test_resumed_sessions_bit_identical(seed, tmp_path):
     snapshot cadences including pure WAL replay."""
     import asyncio
 
-    from repro.serve import StreamSession
+    from repro.serve import SessionConfig, open_session
 
     rng = np.random.default_rng(13000 + seed)
     m = int(rng.integers(6, 10))
@@ -566,13 +567,14 @@ def test_resumed_sessions_bit_identical(seed, tmp_path):
     corruption = seed % 3  # 0: clean kill, 1: torn WAL tail, 2: torn snapshot
 
     async def crash_then_resume(backend, directory):
-        session = StreamSession(
+        config = SessionConfig(
             backend=backend,
             max_batch=max_batch,
             durable=directory,
             snapshot_every=snapshot_every,
             fsync=False,
         )
+        session = open_session(config)
         session.start()
         for record in records[:cut]:
             await session.submit(*record)
@@ -591,13 +593,7 @@ def test_resumed_sessions_bit_identical(seed, tmp_path):
                 data = bytearray(snapshots[0].read_bytes())
                 data[int(rng.integers(0, len(data)))] ^= 0xFF
                 snapshots[0].write_bytes(bytes(data))
-        resumed = StreamSession.resume(
-            directory,
-            backend=backend,
-            max_batch=max_batch,
-            snapshot_every=snapshot_every,
-            fsync=False,
-        )
+        resumed = open_session(config)
         # Sequence numbers are positional, so applied_events says exactly
         # which prefix of the stream survived; feed the rest.
         assert resumed.applied_events <= len(records)
@@ -635,38 +631,35 @@ def test_resumed_sessions_bit_identical(seed, tmp_path):
 
 
 # --------------------------------------------------------------------------- #
-# Multi-writer resumed column: partitioned kill/resume fuzz
+# Aborted column: kill with queues still unflushed
 # --------------------------------------------------------------------------- #
 
-#: Backends of the ``multiwriter-resumed`` column — the multi-writer
-#: determinism contract of :mod:`repro.serve.multiwriter`: a partitioned
-#: durable session killed at an arbitrary point (including mid-flight, with
-#: unflushed queues), its segments independently tail-corrupted, resumed
-#: via the k-way segment merge and fed the rest of the stream must serve
-#: estimates bit-identical to the serial dict batch build.
-MULTIWRITER_RESUMED_BACKENDS = ["dict", "dense", "sparse", "bitset"]
+#: Backends of the ``aborted`` column — the single-log prefix contract: one
+#: applier logs batches in submission order, so whatever a kill leaves in
+#: the WAL — with events still queued, a batch half-applied, a torn tail or
+#: a torn snapshot — is exactly a prefix of the submitted stream.
+ABORTED_BACKENDS = ["dict", "dense", "sparse", "bitset"]
 
 
 @pytest.mark.parametrize("seed", range(25))
-def test_multiwriter_resumed_sessions_bit_identical(seed, tmp_path):
-    """25-seed kill/resume fuzz of the multi-writer ingest path: random
-    writer counts (1-4, through the ``open_session`` front door so the
-    single-writer dispatch is fuzzed too), random kill points — half the
-    seeds abort with queues still unflushed — per-segment WAL tail
-    corruption or a torn newest snapshot, resume via the segment merge,
-    then drain the remainder of the stream.  The final estimates, spammer
-    scores and accumulated matrix must equal the serial uninterrupted
-    reference bit for bit on all four backends, across snapshot cadences
-    including pure segment replay."""
+def test_aborted_sessions_resume_a_logged_prefix_bit_identical(seed, tmp_path):
+    """25-seed kill/resume fuzz of a session aborted mid-flight: half the
+    seeds abort with events still queued, half feed the stream through
+    ``submit_many`` runs (the server's path).  The surviving log must be
+    exactly the first ``applied_events`` submitted events, and after
+    resuming and feeding the rest, the estimates, spammer scores and
+    accumulated matrix must equal the uninterrupted reference bit for bit
+    on all four backends."""
     import asyncio
 
     from repro.serve import SessionConfig, open_session
+    from repro.serve.durable import DurableStore
 
-    rng = np.random.default_rng(14000 + seed)
+    rng = np.random.default_rng(15000 + seed)
     m = int(rng.integers(6, 10))
     n = int(rng.integers(25, 45))
-    matrix = random_matrix(seed, m, n, regular=bool(seed % 3 == 0))
-    records = list(matrix.iter_responses())
+    matrix = random_matrix(seed, m, n, regular=bool(seed % 4 == 0))
+    records = [tuple(record) for record in matrix.iter_responses()]
     rng.shuffle(records)
     revisions = [
         (worker, task, 1 - label)
@@ -679,73 +672,74 @@ def test_multiwriter_resumed_sessions_bit_identical(seed, tmp_path):
         records.insert(position, tuple(revision))
     max_batch = int(rng.integers(1, 24))
     cut = int(rng.integers(1, len(records)))
-    writers = 1 + seed % 4
     snapshot_every = [None, 1, 2, 3, 5][seed % 5]
-    corruption = seed % 3  # 0: clean kill, 1: torn segment tail, 2: torn snapshot
-    flushed = seed % 2 == 0  # else: killed with queues still unflushed
+    corruption = seed % 3  # 0: clean kill, 1: torn WAL tail, 2: torn snapshot
+    flushed = seed % 2 == 0  # else: killed with events still queued
+    run_length = int(rng.integers(2, 9)) if seed % 4 in (1, 2) else 1
+
+    async def feed(session, stream):
+        for start in range(0, len(stream), run_length):
+            run = stream[start : start + run_length]
+            if run_length == 1:
+                await session.submit(*run[0])
+            else:
+                await session.submit_many(run)
 
     async def crash_then_resume(backend, directory):
         config = SessionConfig(
             backend=backend,
             max_batch=max_batch,
-            writers=writers,
             durable=directory,
             snapshot_every=snapshot_every,
             fsync=False,
         )
         session = open_session(config)
         session.start()
-        for record in records[:cut]:
-            await session.submit(*record)
+        await feed(session, records[:cut])
         if flushed:
             await session.flush()
-        await session.abort()  # no final snapshot, appliers cancelled
+        await session.abort()
         if corruption == 1:
-            # Mid-append kill: the fattest segment loses its tail bytes
-            # (the glob covers both the wal-<p>.ndjson segments and the
-            # single-writer wal.ndjson).  Leave the header plus a margin
-            # intact — a chopped *header* is a malformed log, not crash
-            # residue, and resume is right to refuse it.
-            wal = max(directory.glob("wal*.ndjson"), key=lambda p: p.stat().st_size)
-            size = wal.stat().st_size
-            if size > 90:
-                chop = int(rng.integers(1, min(31, size - 80)))
-                wal.write_bytes(wal.read_bytes()[: size - chop])
+            # Chop into the last record only: an aborted session may have
+            # logged nothing, and a torn header is not crash residue.
+            wal = session.durable.wal_path
+            data = wal.read_bytes()
+            lines = data.split(b"\n")
+            if len(lines) > 2:
+                chop = int(rng.integers(1, min(31, len(lines[-2]) + 1)))
+                wal.write_bytes(data[: len(data) - chop])
         elif corruption == 2:
-            # Torn newest snapshot: resume must fall back to an older one
-            # or pure segment replay.
-            snapshots = sorted(directory.glob("snapshot-*.snap"), reverse=True)
+            snapshots = session.durable.snapshot_paths()
             if snapshots:
                 data = bytearray(snapshots[0].read_bytes())
                 data[int(rng.integers(0, len(data)))] ^= 0xFF
                 snapshots[0].write_bytes(bytes(data))
         resumed = open_session(config)
-        assert resumed.applied_events <= len(records)
+        survived = resumed.applied_events
+        assert survived <= cut
+        if flushed and corruption == 0:
+            assert survived == cut
+        logged = [
+            event
+            for _, _, events in DurableStore(directory).read_batches()
+            for event in events
+        ]
+        # A snapshot may cover a record the chop then tore off the log;
+        # without snapshots the log alone is the surviving prefix.
+        assert logged == records[: len(logged)]
+        assert len(logged) <= survived
+        if snapshot_every is None:
+            assert len(logged) == survived
         async with resumed:
-            if flushed and corruption == 0:
-                # Every submitted event reached the segments and survived:
-                # the resume must account for exactly the prefix, and the
-                # exact remainder completes the stream.
-                assert resumed.applied_events == cut
-                remainder = records[cut:]
-            else:
-                # Unflushed batches (or chopped tails) vanished, and which
-                # partition lost how much is timing-dependent — so re-feed
-                # the whole stream: per-worker last-write-wins application
-                # makes the overlap idempotent.
-                remainder = records
-            for record in remainder:
-                await resumed.submit(*record)
+            await feed(resumed, records[survived:])
             await resumed.flush()
             estimates = await resumed.evaluate_all()
             scores = await resumed.spammer_scores()
             return estimates, scores, resumed.evaluator.matrix.copy()
 
     results = {
-        backend: asyncio.run(
-            crash_then_resume(backend, tmp_path / backend)
-        )
-        for backend in MULTIWRITER_RESUMED_BACKENDS
+        backend: asyncio.run(crash_then_resume(backend, tmp_path / backend))
+        for backend in ABORTED_BACKENDS
     }
     accumulated = results["dict"][2]
     reference = {
@@ -761,9 +755,134 @@ def test_multiwriter_resumed_sessions_bit_identical(seed, tmp_path):
         assert set(resumed) == set(reference), backend
         for worker, ref in reference.items():
             assert_estimates_bit_identical(
-                ref, resumed[worker], f"multiwriter-resumed-{backend}"
+                ref, resumed[worker], f"aborted-{backend}"
             )
         assert scores == reference_scores, backend
+
+
+# --------------------------------------------------------------------------- #
+# Quarantined column: resume over a log holding events admission rejects
+# --------------------------------------------------------------------------- #
+
+#: Backends of the ``quarantined`` column — a WAL written before admission
+#: control may hold events the session now refuses.  Resume skips and
+#: counts them, applies the valid events of every record, keeps the
+#: sequence numbering, and serves what a dict batch build over the valid
+#: events serves.
+QUARANTINED_BACKENDS = ["dict", "dense", "sparse", "bitset"]
+
+
+def _bad_event(rng, m: int, n: int) -> tuple[int, int, int]:
+    """One event the session's admission rule rejects (binary labels)."""
+    worker, task, label = (
+        int(rng.integers(0, m)), int(rng.integers(0, n)), int(rng.integers(0, 2))
+    )
+    kind = int(rng.integers(0, 5))
+    if kind == 0:
+        return (-1 - int(rng.integers(0, 3)), task, label)
+    if kind == 1:
+        return (worker, -1 - int(rng.integers(0, 3)), label)
+    if kind == 2:
+        return (worker, task, 2 + int(rng.integers(0, 6)))
+    if kind == 3:
+        return (worker, task, -1)
+    return (1 << 63, task, label)  # beyond the applier's int64 ids
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_quarantined_resume_bit_identical(seed, tmp_path):
+    """25-seed fuzz of resume over a hand-written WAL with invalid events
+    spliced between valid ones (negative ids, out-of-arity labels, ids past
+    int64), records of random sizes, some all-bad.  Each backend resumes,
+    reports the exact skipped count and the full sequence, takes the rest
+    of the stream live, closes, and resumes again; both resumes must serve
+    estimates bit-identical to the dict batch build over the valid events
+    alone."""
+    import asyncio
+
+    from repro.serve import SessionConfig, open_session
+    from repro.serve.durable import DurableStore
+
+    rng = np.random.default_rng(16000 + seed)
+    m = int(rng.integers(6, 10))
+    n = int(rng.integers(25, 45))
+    matrix = random_matrix(seed, m, n, regular=bool(seed % 4 == 1))
+    records = [tuple(record) for record in matrix.iter_responses()]
+    rng.shuffle(records)
+    logged_count = int(rng.integers(len(records) // 2, len(records)))
+    logged, live = records[:logged_count], records[logged_count:]
+    stream: list[tuple[int, int, int]] = []
+    n_bad = 0
+    for event in logged:
+        while rng.random() < 0.15:
+            stream.append(_bad_event(rng, m, n))
+            n_bad += 1
+        stream.append(event)
+    if seed % 5 == 0:
+        # A record of nothing but rejected events.
+        stream += [_bad_event(rng, m, n) for _ in range(3)]
+        n_bad += 3
+    batches = []
+    start = 0
+    while start < len(stream):
+        size = int(rng.integers(1, 12))
+        batches.append((start + 1, stream[start : start + size]))
+        start += size
+    snapshot_every = [None, 1, 3][seed % 3]
+
+    async def resume_twice(backend, directory):
+        store = DurableStore(directory, fsync=False)
+        store.open()
+        for first, events in batches:
+            store.append_batch(first, first + len(events) - 1, events)
+        store.close()
+        config = SessionConfig(
+            backend=backend,
+            durable=directory,
+            snapshot_every=snapshot_every,
+            max_batch=int(rng.integers(1, 16)),
+            fsync=False,
+        )
+        session = open_session(config)
+        assert session.applied_events == len(stream), backend
+        assert session.durable.quarantined_events == n_bad, backend
+        async with session:
+            for event in live:
+                await session.submit(*event)
+            await session.flush()
+            first_estimates = await session.evaluate_all()
+        again = open_session(config)
+        assert again.applied_events == len(stream) + len(live), backend
+        # A clean close with periodic snapshots on covers the whole log.
+        expected_skips = n_bad if snapshot_every is None else 0
+        assert again.durable.quarantined_events == expected_skips, backend
+        async with again:
+            return (
+                first_estimates,
+                await again.evaluate_all(),
+                again.evaluator.matrix.copy(),
+            )
+
+    reference_evaluator = IncrementalEvaluator(3, 1, backend="dict")
+    reference_evaluator.apply_batch(records)
+    reference = {
+        estimate.worker: estimate
+        for estimate in MWorkerEstimator(
+            confidence=0.95, backend="dict"
+        ).evaluate_all(reference_evaluator.matrix)
+        if estimate.n_tasks > 0
+    }
+    for backend in QUARANTINED_BACKENDS:
+        first, second, matrix_copy = asyncio.run(
+            resume_twice(backend, tmp_path / backend)
+        )
+        assert matrix_copy == reference_evaluator.matrix, backend
+        for served in (first, second):
+            assert set(served) == set(reference), backend
+            for worker, ref in reference.items():
+                assert_estimates_bit_identical(
+                    ref, served[worker], f"quarantined-{backend}"
+                )
 
 
 # --------------------------------------------------------------------------- #

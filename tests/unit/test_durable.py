@@ -28,7 +28,7 @@ from repro.cli import main as cli_main
 from repro.core.incremental import IncrementalEvaluator
 from repro.core.m_worker import MWorkerEstimator
 from repro.exceptions import ConfigurationError, DurableStateError
-from repro.serve import StreamSession
+from repro.serve import SessionConfig, StreamSession, open_session
 from repro.serve.durable import (
     DurableStore,
     WAL_FORMAT,
@@ -70,7 +70,9 @@ def assert_bit_identical(streamed, matrix, confidence=0.95):
 async def stream_durably(directory, events, **session_kwargs):
     """Feed ``events`` through a durable session and close it cleanly."""
     session_kwargs.setdefault("fsync", False)
-    async with StreamSession(durable=directory, **session_kwargs) as session:
+    async with open_session(
+        SessionConfig(durable=directory, **session_kwargs)
+    ) as session:
         for event in events:
             await session.submit(*event)
         await session.flush()
@@ -97,7 +99,7 @@ class TestWalFormat:
         with pytest.raises(DurableStateError, match="version"):
             DurableStore(tmp_path).read_batches()
         with pytest.raises(DurableStateError, match="version"):
-            StreamSession.resume(tmp_path)
+            open_session(SessionConfig(durable=tmp_path))
 
     def test_missing_header_rejected(self, tmp_path):
         wal = tmp_path / "wal.ndjson"
@@ -153,7 +155,7 @@ class TestWalFormat:
         store.append_batch(1, 2, [(0, 0, 1), (1, 0, 0)])  # duplicated batch
         store.append_batch(3, 3, [(2, 0, 1)])
         store.close()
-        resumed = StreamSession.resume(tmp_path, fsync=False)
+        resumed = open_session(SessionConfig(durable=tmp_path, fsync=False))
         assert resumed.applied_events == 3
         matrix = resumed.evaluator.matrix
         assert matrix.n_responses == 3
@@ -162,7 +164,7 @@ class TestWalFormat:
         run(resumed.abort())
         # Resuming a second time replays over the same WAL again — same
         # state, nothing double-applied.
-        again = StreamSession.resume(tmp_path, fsync=False)
+        again = open_session(SessionConfig(durable=tmp_path, fsync=False))
         assert again.applied_events == 3
         assert again.evaluator.matrix == matrix
         run(again.abort())
@@ -174,11 +176,11 @@ class TestWalFormat:
         store.append_batch(5, 5, [(2, 0, 1)])  # records 3..4 are missing
         store.close()
         with pytest.raises(DurableStateError, match="gap"):
-            StreamSession.resume(tmp_path)
+            open_session(SessionConfig(durable=tmp_path))
 
     def test_fresh_session_refuses_directory_with_state(self, tmp_path):
         run(stream_durably(tmp_path, [(0, 0, 1), (1, 0, 0), (2, 0, 1)]))
-        fresh = StreamSession(durable=tmp_path, fsync=False)
+        fresh = StreamSession(config=SessionConfig(durable=tmp_path, fsync=False))
 
         async def scenario():
             with pytest.raises(DurableStateError, match="resume"):
@@ -196,6 +198,99 @@ class TestWalFormat:
             DurableStore(tmp_path, snapshot_every=0)
         with pytest.raises(ConfigurationError):
             DurableStore(tmp_path, keep_snapshots=0)
+
+
+class TestLegacySegmentLayout:
+    """Directories written by the removed multi-writer layout are refused
+    before anything in them is created, truncated or renamed."""
+
+    @staticmethod
+    def legacy_directory(tmp_path, layout):
+        directory = tmp_path / "legacy"
+        directory.mkdir()
+        events = {0: [(0, 0, 1), (0, 1, 0)], 1: [(1, 0, 1), (1, 1, 1)]}
+        if layout == "segment":
+            layout, events = "segments", {1: events[1]}
+        if "wal" in layout:
+            # The single log the old single-writer path created beside
+            # the segments when it resumed such a directory.  Written
+            # first: the store itself refuses a directory with segments.
+            store = DurableStore(directory, fsync=False)
+            store.open()
+            store.append_batch(1, 1, [(2, 0, 1)])
+            store.close()
+        if "segments" in layout:
+            for partition, batch in events.items():
+                # A CRC'd, headed log per partition, renamed to its segment.
+                store = DurableStore(tmp_path / f"part-{partition}", fsync=False)
+                store.open()
+                store.append_batch(1, len(batch), batch)
+                store.close()
+                store.wal_path.rename(directory / f"wal-{partition}.ndjson")
+        if "snapshot" in layout:
+            evaluator = IncrementalEvaluator(3, 2, backend="dense")
+            evaluator.apply_batch(events[0] + events[1])
+            meta, arrays = evaluator.export_state()
+            meta["applied_seq"] = 4
+            meta["applied_batches"] = 2
+            meta["multiwriter"] = {
+                "epoch": 1,
+                "writers": 2,
+                "partitions": {"0": 2, "1": 2},
+            }
+            write_snapshot_file(
+                directory / "snapshot-000000000004.snap", meta, arrays
+            )
+        return directory
+
+    @pytest.mark.parametrize(
+        "layout",
+        ["segments", "segments+snapshot", "snapshot", "segments+wal", "segment"],
+    )
+    def test_open_session_refuses_and_leaves_directory_unchanged(
+        self, tmp_path, layout
+    ):
+        directory = self.legacy_directory(tmp_path, layout)
+        before = {p.name: p.read_bytes() for p in directory.iterdir()}
+        with pytest.raises(DurableStateError, match="multi-writer"):
+            open_session(SessionConfig(durable=directory))
+        if layout != "snapshot":
+            fresh = StreamSession(config=SessionConfig(durable=directory))
+
+            async def scenario():
+                with pytest.raises(DurableStateError, match="multi-writer"):
+                    fresh.start()
+
+            run(scenario())
+        assert {p.name: p.read_bytes() for p in directory.iterdir()} == before
+
+    def test_cli_ingest_refuses_and_leaves_directory_unchanged(
+        self, tmp_path, capsys
+    ):
+        directory = self.legacy_directory(tmp_path, "segments")
+        before = {p.name: p.read_bytes() for p in directory.iterdir()}
+        events_file = tmp_path / "events.ndjson"
+        events_file.write_text("[0, 0, 1]\n")
+        assert cli_main(["ingest", str(events_file), "--durable", str(directory)]) == 2
+        assert "multi-writer" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in directory.iterdir()} == before
+
+    def test_files_that_are_not_partition_segments_are_ignored(self, tmp_path):
+        """Only ``wal-<digits>.ndjson`` names are segments; other WAL-like
+        files beside a single-writer log neither block nor feed a resume."""
+        (tmp_path / "wal-backup.ndjson").write_text("not a segment\n")
+        (tmp_path / "wal-.ndjson").write_text("")
+        events = make_stream(30, 4, 9, seed=83)
+        first = run(stream_durably(tmp_path, events))
+        resumed = open_session(SessionConfig(durable=tmp_path, fsync=False))
+        assert resumed.applied_events == len(events)
+
+        async def read_only():
+            async with resumed:
+                return await resumed.evaluate_all()
+
+        assert run(read_only()) == first
+        assert (tmp_path / "wal-backup.ndjson").read_text() == "not a segment\n"
 
 
 class TestSnapshotFiles:
@@ -265,7 +360,9 @@ class TestSnapshotFiles:
             if seq == 25:  # snapshot mid-history, then keep appending
                 store.write_snapshot(evaluator, seq)
         store.close()
-        resumed = StreamSession.resume(tmp_path, backend="dense", fsync=False)
+        resumed = open_session(
+            SessionConfig(durable=tmp_path, backend="dense", fsync=False)
+        )
         assert resumed.applied_events == len(events)
         # Only the post-snapshot delta was replayed.
         assert resumed.durable._since_snapshot == len(events) - 25
@@ -296,7 +393,9 @@ class TestSnapshotFiles:
         events = make_stream(60, 6, 15, seed=11)
 
         async def scenario():
-            session = StreamSession(durable=tmp_path, fsync=False, max_batch=7)
+            session = open_session(
+                SessionConfig(durable=tmp_path, fsync=False, max_batch=7)
+            )
             session.start()
             for event in events:
                 await session.submit(*event)
@@ -305,7 +404,7 @@ class TestSnapshotFiles:
 
         run(scenario())
         assert DurableStore(tmp_path).snapshot_paths() == []
-        resumed = StreamSession.resume(tmp_path, fsync=False)
+        resumed = open_session(SessionConfig(durable=tmp_path, fsync=False))
         assert resumed.applied_events == len(events)
         assert_bit_identical(
             resumed.evaluator.estimate_all(), resumed.evaluator.matrix
@@ -410,17 +509,19 @@ class TestWarmCacheResume:
         events = self.two_component_stream()
 
         async def ingest():
-            async with StreamSession(
-                durable=tmp_path, snapshot_every=50, fsync=False,
-                backend="dense",
-            ) as session:
+            config = SessionConfig(
+                durable=tmp_path, snapshot_every=50, fsync=False, backend="dense"
+            )
+            async with open_session(config) as session:
                 for event in events:
                     await session.submit(*event)
                 await session.flush()
                 return await session.evaluate_all()
 
         warm = run(ingest())
-        resumed = StreamSession.resume(tmp_path, snapshot_every=50, fsync=False)
+        resumed = open_session(
+            SessionConfig(durable=tmp_path, snapshot_every=50, fsync=False)
+        )
 
         async def read_and_delta():
             async with resumed:
@@ -445,7 +546,9 @@ class TestSessionDurability:
         closed = run(
             stream_durably(tmp_path, events, snapshot_every=5, max_batch=8)
         )
-        resumed = StreamSession.resume(tmp_path, snapshot_every=5, fsync=False)
+        resumed = open_session(
+            SessionConfig(durable=tmp_path, snapshot_every=5, fsync=False)
+        )
         assert resumed.applied_events == len(events)
         # The final snapshot covers the whole history: zero WAL replay.
         assert resumed.durable._since_snapshot == 0
@@ -458,7 +561,9 @@ class TestSessionDurability:
         run(stream_durably(tmp_path, first, max_batch=4))
 
         async def continue_stream():
-            session = StreamSession.resume(tmp_path, max_batch=4, fsync=False)
+            session = open_session(
+                SessionConfig(durable=tmp_path, max_batch=4, fsync=False)
+            )
             assert session.applied_events == len(first)
             async with session:
                 for event in second:
@@ -479,20 +584,20 @@ class TestSessionDurability:
         reference.apply_batch(first + second, auto_extend=True)
         assert final == reference.estimate_all()
 
-    def test_open_durable_creates_then_resumes(self, tmp_path):
+    def test_open_session_creates_then_resumes(self, tmp_path):
         events = make_stream(25, 4, 8, seed=61)
 
         async def scenario():
-            first = StreamSession.open_durable(
-                tmp_path, snapshot_every=3, fsync=False
+            first = open_session(
+                SessionConfig(durable=tmp_path, snapshot_every=3, fsync=False)
             )
             assert first.applied_events == 0
             async with first:
                 for event in events:
                     await first.submit(*event)
                 await first.flush()
-            second = StreamSession.open_durable(
-                tmp_path, snapshot_every=3, fsync=False
+            second = open_session(
+                SessionConfig(durable=tmp_path, snapshot_every=3, fsync=False)
             )
             assert second.applied_events == len(events)
             run_estimates = second.evaluator.estimate_all()
@@ -565,7 +670,7 @@ class TestCrashSubprocess:
             """
             import asyncio, sys
             import numpy as np
-            from repro.serve import StreamSession
+            from repro.serve import SessionConfig, open_session
 
             def make_stream(n_events, n_workers, n_tasks, seed):
                 rng = np.random.default_rng(seed)
@@ -580,8 +685,8 @@ class TestCrashSubprocess:
 
             async def main():
                 events = make_stream(400, 7, 30, seed=81)
-                session = StreamSession(
-                    durable=sys.argv[1], snapshot_every=5, max_batch=4
+                session = open_session(
+                    SessionConfig(durable=sys.argv[1], snapshot_every=5, max_batch=4)
                 )
                 session.start()
                 for index, event in enumerate(events):
@@ -614,7 +719,9 @@ class TestCrashSubprocess:
         assert DurableStore.has_state(durable_dir)
 
         async def finish():
-            session = StreamSession.resume(durable_dir, max_batch=4, fsync=False)
+            session = open_session(
+                SessionConfig(durable=durable_dir, max_batch=4, fsync=False)
+            )
             applied = session.applied_events
             assert 0 < applied <= len(events)
             async with session:

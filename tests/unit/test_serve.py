@@ -22,7 +22,9 @@ from repro.exceptions import ConfigurationError, DataValidationError
 from repro.serve import (
     QueueClosed,
     ResponseQueue,
+    SessionConfig,
     StreamSession,
+    open_session,
     parse_event,
 )
 from repro.serve.server import serve_ndjson
@@ -149,7 +151,7 @@ class TestStreamSession:
         flush must make everything submitted visible."""
 
         async def scenario():
-            async with StreamSession(max_batch=4) as session:
+            async with open_session(SessionConfig(max_batch=4)) as session:
                 await session.submit(0, 0, 1)
                 await session.submit(1, 0, 0)
                 await session.submit(0, 0, 0)  # revision, must win
@@ -175,7 +177,9 @@ class TestStreamSession:
         events = make_stream(600, 10, 50, seed=31)
 
         async def scenario():
-            async with StreamSession(backend=backend, max_batch=19) as session:
+            async with open_session(
+                SessionConfig(backend=backend, max_batch=19)
+            ) as session:
                 for index, event in enumerate(events):
                     await session.submit(*event)
                     if index in (151, 449):
@@ -195,7 +199,7 @@ class TestStreamSession:
 
         async def scenario():
             snapshots = []
-            async with StreamSession(max_batch=13, maxsize=32) as session:
+            async with open_session(SessionConfig(max_batch=13, maxsize=32)) as session:
 
                 async def producer():
                     for event in events:
@@ -232,7 +236,9 @@ class TestStreamSession:
 
     def test_auto_extends_for_unseen_ids_without_rebuilds(self):
         async def scenario():
-            async with StreamSession(backend="dense", max_batch=8) as session:
+            async with open_session(
+                SessionConfig(backend="dense", max_batch=8)
+            ) as session:
                 await session.submit(0, 0, 1)
                 await session.submit(14, 90, 0)  # far beyond (3, 1)
                 await session.submit(7, 30, 1)
@@ -247,7 +253,7 @@ class TestStreamSession:
 
     def test_ingestion_error_surfaces_on_flush_submit_and_close(self):
         async def scenario():
-            session = StreamSession(auto_extend=False)
+            session = open_session(SessionConfig(auto_extend=False))
             session.start()
             with pytest.raises(DataValidationError):
                 await session.submit(-3, 0, 1)  # rejected at admission
@@ -291,7 +297,9 @@ class TestStreamSession:
         events = make_stream(400, 6, 30, seed=9)
 
         async def scenario():
-            async with StreamSession(backend="dense", max_batch=50) as session:
+            async with open_session(
+                SessionConfig(backend="dense", max_batch=50)
+            ) as session:
                 await session.submit_many(events[:200])
                 await session.flush()
                 await session.evaluate_all()  # build caches
@@ -306,6 +314,59 @@ class TestStreamSession:
         # Batches landing after the warm-up read invalidate cached workers.
         warm = [r for r in records if r.first_seq > 200 and r.stats.n_changed]
         assert warm and any(r.stats.cached_invalidated > 0 for r in warm)
+
+    def test_batch_history_is_bounded_and_totals_cover_every_batch(
+        self, monkeypatch
+    ):
+        import repro.serve.session as session_module
+
+        events = make_stream(120, 6, 20, seed=13)
+
+        def ingest(history):
+            monkeypatch.setattr(session_module, "BATCH_HISTORY", history)
+
+            async def scenario():
+                async with open_session(SessionConfig(backend="dense")) as session:
+                    for index, event in enumerate(events):
+                        # One flush per event: one batch per event, so the
+                        # capped and uncapped runs chop the stream alike.
+                        await session.submit(*event)
+                        await session.flush()
+                        if index % 4 == 0:
+                            await session.evaluate_all()
+                    return session
+
+            return run(scenario())
+
+        capped = ingest(16)
+        uncapped = ingest(None)
+        assert capped.applied_batch_count == uncapped.applied_batch_count == 120
+        # Only the newest records survive; the history never grows past it.
+        assert [r.index for r in capped.applied_batches] == list(range(104, 120))
+        assert len(uncapped.applied_batches) == 120
+        every = uncapped.applied_batches
+        assert capped.backend_invalidations == sum(
+            r.stats.backend_invalidations for r in every
+        )
+        assert capped.cached_invalidated == sum(
+            r.stats.cached_invalidated for r in every
+        )
+        assert capped.cached_invalidated > 0
+        assert uncapped.backend_invalidations == capped.backend_invalidations
+
+
+    def test_applied_batches_is_a_copy(self):
+        async def scenario():
+            async with open_session(SessionConfig(max_batch=2)) as session:
+                await session.submit_many([(0, 0, 1), (1, 0, 1), (2, 0, 0)])
+                await session.flush()
+                records = session.applied_batches
+                records.clear()
+                return session.applied_batches, session.applied_batch_count
+
+        records, count = run(scenario())
+        assert len(records) == count >= 2
+        assert sum(r.stats.n_events for r in records) == 3
 
 
 class TestApplyBatchAtomicity:
@@ -344,7 +405,9 @@ class TestConcurrencyRegressions:
         of deadlocking (and close() can always land its marker)."""
 
         async def scenario():
-            session = StreamSession(auto_extend=False, maxsize=2, max_batch=1)
+            session = open_session(
+                SessionConfig(auto_extend=False, maxsize=2, max_batch=1)
+            )
             session.start()
 
             def failing_apply(records, auto_extend=True):
@@ -372,7 +435,7 @@ class TestConcurrencyRegressions:
         reads that need a recompute must still wait for it."""
 
         async def scenario():
-            async with StreamSession(backend="dense") as session:
+            async with open_session(SessionConfig(backend="dense")) as session:
                 records = [
                     (w, t, (w + t) % 2) for w in range(5) for t in range(12)
                 ]
@@ -411,7 +474,7 @@ class TestConcurrencyRegressions:
         per_producer = 120
 
         async def scenario():
-            async with StreamSession(maxsize=4, max_batch=8) as session:
+            async with open_session(SessionConfig(maxsize=4, max_batch=8)) as session:
 
                 async def producer(worker):
                     for index in range(per_producer):
@@ -489,7 +552,9 @@ class TestNdjsonServer:
 
         async def scenario():
             ready = asyncio.get_running_loop().create_future()
-            async with StreamSession(confidence=0.9, max_batch=32) as session:
+            async with open_session(
+                SessionConfig(confidence=0.9, max_batch=32)
+            ) as session:
                 server = asyncio.get_running_loop().create_task(
                     serve_ndjson(
                         session,

@@ -4,9 +4,10 @@ Covers the server's block reader (one decode per block, per-line fallback
 that never reads a line together with its neighbour, over-long lines,
 error replies in line order, nothing answered after a shutdown), the
 queue's ``put_many`` (one wake-up per run, event-counted backpressure,
-parked runs delivered across a close), admission-time validation on both
-session shapes (a bad event never reaches the queue or the durable log)
-and the copy-free ``stats`` batch counter.
+parked runs delivered across a close), admission-time validation (a bad
+event never reaches the queue or the durable log), the quarantine of bad
+events found in an old log on resume, and the copy-free ``stats`` batch
+counter.
 """
 
 from __future__ import annotations
@@ -201,21 +202,16 @@ class TestServerProtocolErrors:
 
         assert run(scenario()) == 2
 
-    @pytest.mark.parametrize("writers", [1, 2])
-    def test_stats_counts_batches_without_copying_records(
-        self, monkeypatch, writers
-    ):
-        from repro.serve.multiwriter import MultiWriterSession
+    def test_stats_counts_batches_without_copying_records(self, monkeypatch):
         from repro.serve.session import StreamSession
 
         def forbidden(self):
             raise AssertionError("stats must not copy the batch records")
 
-        for cls in (StreamSession, MultiWriterSession):
-            monkeypatch.setattr(cls, "applied_batches", property(forbidden))
+        monkeypatch.setattr(StreamSession, "applied_batches", property(forbidden))
 
         async def scenario():
-            config = SessionConfig(max_batch=2, writers=writers)
+            config = SessionConfig(max_batch=2)
             async with open_session(config) as session:
                 server, reader, writer = await _serve(session)
                 writer.write(
@@ -234,6 +230,7 @@ class TestServerProtocolErrors:
         (_, stats, _), count = run(scenario())
         assert stats["batches"] == count >= 2
         assert stats["applied"] == 3
+        assert stats["quarantined"] == 0
 
 
 class TestQueuePutMany:
@@ -316,10 +313,9 @@ class TestQueuePutMany:
 
 
 class TestAdmission:
-    @pytest.mark.parametrize("writers", [1, 2])
-    def test_bad_events_are_rejected_before_the_queue(self, writers):
+    def test_bad_events_are_rejected_before_the_queue(self):
         async def scenario():
-            config = SessionConfig(auto_extend=False, writers=writers)
+            config = SessionConfig(auto_extend=False)
             async with open_session(config) as session:
                 for event in [(-1, 0, 1), (0, -2, 1), (0, 0, 2), (3, 0, 1), (0, 1, 1)]:
                     with pytest.raises(DataValidationError):
@@ -375,3 +371,94 @@ class TestAdmission:
         for worker, estimate in reference.items():
             assert resumed[worker].interval == estimate.interval
             assert served["estimates"][str(worker)]["mean"] == estimate.interval.mean
+
+    def test_resume_quarantines_invalid_logged_events(self, tmp_path):
+        """A log written before admission control may hold bad events; the
+        resume skips and counts them, applies the valid events around them,
+        and keeps the sequence numbering."""
+        from repro.core.incremental import IncrementalEvaluator
+
+        good = [(w, t, (w + 2 * t) % 2) for w in range(4) for t in range(6)]
+        store = DurableStore(tmp_path, fsync=False)
+        store.open()
+        store.append_batch(1, 10, good[:10])
+        bad = [(0, 0, 7), (-1, 2, 1)]  # a label outside arity, a negative id
+        store.append_batch(11, 15, [good[10], *bad, good[11], good[12]])
+        store.append_batch(16, 26, good[13:])
+        store.close()
+
+        async def scenario():
+            config = SessionConfig(durable=tmp_path, backend="dense", fsync=False)
+            async with open_session(config) as session:
+                server, reader, writer = await _serve(session)
+                writer.write(_lines({"query": "stats"}, {"query": "shutdown"}))
+                await writer.drain()
+                stats, _ = await _replies(reader, 2)
+                await asyncio.wait_for(server, timeout=5)
+                writer.close()
+                return stats, await session.evaluate_all(), session.evaluator.matrix
+
+        stats, estimates, matrix = run(scenario())
+        assert stats["quarantined"] == 2
+        assert stats["applied"] == 26 and stats["n_responses"] == len(good)
+        reference = IncrementalEvaluator(3, 1, backend="dict")
+        reference.apply_batch(good)
+        assert matrix == reference.matrix
+        expected = {
+            e.worker: e
+            for e in MWorkerEstimator(backend="dict").evaluate_all(reference.matrix)
+            if e.n_tasks > 0
+        }
+        assert set(estimates) == set(expected)
+        for worker, estimate in expected.items():
+            assert estimates[worker].interval == estimate.interval
+            assert estimates[worker].status is estimate.status
+
+    def test_resume_over_a_log_of_only_rejected_events(self, tmp_path):
+        """Every logged event rejected: the resume serves an empty state,
+        counts them all, and numbering continues past them."""
+        store = DurableStore(tmp_path, fsync=False)
+        store.open()
+        store.append_batch(1, 2, [(0, 0, 9), (-3, 0, 1)])
+        store.append_batch(3, 3, [(1 << 63, 0, 0)])
+        store.close()
+
+        async def scenario():
+            config = SessionConfig(durable=tmp_path, fsync=False)
+            session = open_session(config)
+            assert session.applied_events == 3
+            assert session.durable.quarantined_events == 3
+            async with session:
+                assert await session.evaluate_all() == {}
+                assert session.evaluator.matrix.n_responses == 0
+                return await session.submit(0, 0, 1)
+
+        assert run(scenario()) == 4
+        logged = [seq for seq, _, _ in DurableStore(tmp_path).read_batches()]
+        assert logged == [1, 3, 4]
+
+    @pytest.mark.parametrize("resumed", [False, True])
+    def test_stats_reports_no_quarantine_for_a_clean_log(self, tmp_path, resumed):
+        events = [(w, t, (w + t) % 2) for w in range(3) for t in range(4)]
+        config = SessionConfig(durable=tmp_path, fsync=False)
+
+        async def ingest():
+            async with open_session(config) as session:
+                await session.submit_many(events)
+                await session.flush()
+
+        async def scenario():
+            if resumed:
+                await ingest()
+            async with open_session(config) as session:
+                server, reader, writer = await _serve(session)
+                writer.write(_lines({"query": "stats"}, {"query": "shutdown"}))
+                await writer.drain()
+                stats, _ = await _replies(reader, 2)
+                await asyncio.wait_for(server, timeout=5)
+                writer.close()
+                return stats
+
+        stats = run(scenario())
+        assert stats["quarantined"] == 0
+        assert stats["applied"] == (len(events) if resumed else 0)

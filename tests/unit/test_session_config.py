@@ -1,29 +1,22 @@
-"""Unit tests for :class:`repro.serve.SessionConfig` and the legacy shims.
+"""Unit tests for :class:`repro.serve.SessionConfig` and ``open_session``.
 
-The API-consolidation contract: every streaming knob lives on one frozen,
-validated dataclass whose field names round-trip the legacy keyword
-arguments exactly; the old construction paths (``StreamSession(**kwargs)``,
-``StreamSession.resume``, ``StreamSession.open_durable``) survive as thin
-shims that emit a :class:`DeprecationWarning`; and the CLI flags map 1:1
-onto a config through the single ``config_from_args`` helper.
+The construction contract: every streaming knob lives on one frozen,
+validated dataclass; a session is built from it (``StreamSession`` takes
+only ``config=``, ``open_session`` resolves create-vs-resume); and the
+CLI flags map 1:1 onto a config through the single ``config_from_args``
+helper.
 """
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
-import os
 
 import pytest
 
 from repro.cli import build_parser, config_from_args
 from repro.exceptions import ConfigurationError
 from repro.serve import SessionConfig, StreamSession, open_session
-from repro.serve.config import AUTO_WRITERS_CAP, DEFAULT_CONFIDENCE
-
-
-def run(coro):
-    return asyncio.run(coro)
+from repro.serve.config import DEFAULT_CONFIDENCE
 
 
 class TestValidation:
@@ -36,11 +29,6 @@ class TestValidation:
             {"backend": "bogus"},
             {"shards": 0},
             {"shards": "bogus"},
-            {"writers": 0},
-            {"writers": -2},
-            {"writers": True},
-            {"writers": 2.5},
-            {"writers": "many"},
             {"maxsize": 0},
             {"max_batch": 0},
             {"snapshot_every": 0, "durable": "somewhere"},
@@ -69,11 +57,27 @@ class TestValidation:
         assert config.resolved_confidence == DEFAULT_CONFIDENCE
         assert config.resolved_backend == "auto"
         assert config.resolved_optimize_weights is True
-        assert config.resolved_writers() == 1
 
-    def test_resolved_writers_auto_is_cpu_bound_and_capped(self):
-        resolved = SessionConfig(writers="auto").resolved_writers()
-        assert resolved == max(1, min(AUTO_WRITERS_CAP, os.cpu_count() or 1))
+    def test_fields_are_the_ten_streaming_knobs(self):
+        assert [field.name for field in dataclasses.fields(SessionConfig)] == [
+            "confidence",
+            "backend",
+            "optimize_weights",
+            "shards",
+            "maxsize",
+            "max_batch",
+            "auto_extend",
+            "durable",
+            "snapshot_every",
+            "fsync",
+        ]
+
+    def test_writer_count_is_not_a_knob(self):
+        # One ordered applier over one log: there is nothing to choose.
+        with pytest.raises(TypeError):
+            SessionConfig(writers=2)
+        with pytest.raises(TypeError):
+            open_session(writers=2)
 
     def test_round_trips_every_legacy_kwarg(self, tmp_path):
         legacy = {
@@ -92,59 +96,40 @@ class TestValidation:
             assert getattr(config, name) == value
 
 
-class TestLegacyShims:
-    def test_constructor_kwargs_warn_and_still_work(self):
-        with pytest.warns(DeprecationWarning, match="open_session"):
-            session = StreamSession(max_batch=4, confidence=0.8)
-        assert session.config.max_batch == 4
-        assert session.config.confidence == 0.8
-
-    def test_config_construction_does_not_warn(self, recwarn):
+class TestConstruction:
+    def test_stream_session_takes_a_config(self):
         session = StreamSession(config=SessionConfig(max_batch=4))
         assert session.config.max_batch == 4
-        assert not [
-            w for w in recwarn if issubclass(w.category, DeprecationWarning)
-        ]
+        assert StreamSession().config == SessionConfig()
 
-    def test_config_and_legacy_kwargs_are_mutually_exclusive(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            StreamSession(config=SessionConfig(), max_batch=4)
+    def test_stream_session_rejects_keyword_knobs(self):
+        with pytest.raises(TypeError):
+            StreamSession(max_batch=4)
+        with pytest.raises(ConfigurationError, match="SessionConfig"):
+            StreamSession(config={"max_batch": 4})
 
-    def test_unknown_kwargs_raise_type_error(self):
-        with pytest.raises(TypeError, match="batchsize"):
-            StreamSession(batchsize=4)
+    def test_open_session_takes_a_config_fields_or_both(self):
+        assert open_session(max_batch=3).config.max_batch == 3
+        base = SessionConfig(max_batch=3, maxsize=7)
+        merged = open_session(base, max_batch=5).config
+        assert (merged.max_batch, merged.maxsize) == (5, 7)
+        with pytest.raises(ConfigurationError, match="SessionConfig"):
+            open_session({"max_batch": 3})
 
-    def test_stream_session_refuses_multiwriter_configs(self):
-        with pytest.raises(ConfigurationError, match="open_session"):
-            StreamSession(config=SessionConfig(writers=3))
 
-    def _populate(self, directory):
-        async def scenario():
-            async with open_session(
-                SessionConfig(durable=directory, fsync=False)
-            ) as session:
-                for worker in range(6):
-                    await session.submit(worker, worker % 3, 1)
-                await session.flush()
-
-        run(scenario())
-
-    def test_resume_shim_warns_and_resumes(self, tmp_path):
-        self._populate(tmp_path)
-        with pytest.warns(DeprecationWarning, match="resume"):
-            session = StreamSession.resume(tmp_path, fsync=False)
-        assert session.applied_events == 6
-
-    def test_open_durable_shim_warns_for_fresh_and_existing_state(
-        self, tmp_path
+    @pytest.mark.parametrize("state", ["missing", "empty"])
+    def test_durable_directory_without_state_opens_fresh_and_untouched(
+        self, tmp_path, state
     ):
-        with pytest.warns(DeprecationWarning, match="open_durable"):
-            fresh = StreamSession.open_durable(tmp_path / "fresh", fsync=False)
-        assert fresh.applied_events == 0
-        self._populate(tmp_path / "old")
-        with pytest.warns(DeprecationWarning, match="open_durable"):
-            resumed = StreamSession.open_durable(tmp_path / "old", fsync=False)
-        assert resumed.applied_events == 6
+        directory = tmp_path / "state"
+        if state == "empty":
+            directory.mkdir()
+        session = open_session(SessionConfig(durable=directory, fsync=False))
+        assert type(session) is StreamSession
+        assert session.applied_events == 0
+        # Nothing is created before the session starts.
+        assert directory.exists() is (state == "empty")
+        assert not directory.exists() or not any(directory.iterdir())
 
 
 class TestConfigFromArgs:
@@ -158,7 +143,6 @@ class TestConfigFromArgs:
                 "--batch-size", "7",
                 "--queue-size", "33",
                 "--shards", "thread:2",
-                "--writers", "3",
                 "--durable", "state-dir",
                 "--snapshot-every", "4",
             ]
@@ -170,27 +154,18 @@ class TestConfigFromArgs:
             max_batch=7,
             maxsize=33,
             shards="thread:2",
-            writers=3,
             durable="state-dir",
             snapshot_every=4,
         )
 
-    def test_writers_auto_passes_through(self):
-        args = build_parser().parse_args(
-            ["ingest", "events.ndjson", "--writers", "auto"]
-        )
-        assert config_from_args(args).writers == "auto"
-
     def test_serve_shares_the_same_translation(self):
-        args = build_parser().parse_args(["serve", "--writers", "2"])
+        args = build_parser().parse_args(["serve", "--batch-size", "5"])
         config = config_from_args(args)
-        assert config.writers == 2
+        assert config.max_batch == 5
         assert config.durable is None
 
-    @pytest.mark.parametrize("value", ["0", "-1", "lots"])
-    def test_invalid_writers_rejected_at_parse_time(self, value, capsys):
+    @pytest.mark.parametrize("command", [["ingest", "events.ndjson"], ["serve"]])
+    def test_writers_flag_is_gone(self, command, capsys):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["ingest", "events.ndjson", "--writers", value]
-            )
+            build_parser().parse_args([*command, "--writers", "2"])
         assert "--writers" in capsys.readouterr().err
