@@ -17,10 +17,14 @@ complement the CI crash-smoke job runs:
    replay restores the acknowledged state, re-fed events are idempotent
    last-write-wins upserts;
 5. byte-diff the resumed estimate table against a from-scratch
-   ``evaluate --backend dense`` over the paired CSV.
+   ``evaluate --backend dense`` over the paired CSV;
+6. check that the durable directory did not grow: at most
+   ``DEFAULT_KEEP_SNAPSHOTS`` ``.snap`` files, at most one recycled spare
+   and no ``.tmp`` residue of the killed snapshot write.
 
 Any divergence — a lost acknowledged batch, a double-applied record, crash
-residue parsed as data — shows up as a table diff and a non-zero exit.
+residue parsed as data or left on disk — shows up as a table diff or a
+failed directory check and a non-zero exit.
 
 Usage::
 
@@ -39,6 +43,23 @@ import tempfile
 import time
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+
+from repro.serve.durable import (  # noqa: E402 - needs the path above
+    DEFAULT_KEEP_SNAPSHOTS,
+    SNAPSHOT_SUFFIX,
+    SPARE_NAME,
+)
+
+
+def _durable_files(directory: str) -> tuple[list[str], list[str], list[str]]:
+    """``(snapshots, spares, .tmp leftovers)`` in a durable directory."""
+    names = sorted(os.listdir(directory))
+    return (
+        [name for name in names if name.endswith(SNAPSHOT_SUFFIX)],
+        [name for name in names if name == SPARE_NAME],
+        [name for name in names if name.endswith(SNAPSHOT_SUFFIX + ".tmp")],
+    )
 
 
 def _cli_env() -> dict[str, str]:
@@ -170,12 +191,11 @@ def main(argv: list[str] | None = None) -> int:
                 child.kill()
                 child.wait()
 
-        snapshots = sorted(
-            name for name in os.listdir(durable_dir) if name.endswith(".snap")
-        )
+        snapshots, spares, leftovers = _durable_files(durable_dir)
         print(
             f"durable dir after crash: {wal_size()} WAL bytes, "
-            f"{len(snapshots)} snapshot(s)"
+            f"{len(snapshots)} snapshot(s), {len(spares)} spare, "
+            f"{len(leftovers)} .tmp"
         )
 
         # Resume over the full fixture: the CLI resumes the directory,
@@ -196,6 +216,20 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(batch_table)
             return 1
         print("crash smoke: resumed estimates byte-identical to batch evaluate")
+
+        snapshots, spares, leftovers = _durable_files(durable_dir)
+        if len(snapshots) > DEFAULT_KEEP_SNAPSHOTS or len(spares) > 1 or leftovers:
+            print(
+                f"FAIL: durable dir grew: snapshots {snapshots}, spares "
+                f"{spares}, leftovers {leftovers} (allowed: "
+                f"{DEFAULT_KEEP_SNAPSHOTS} snapshots, 1 spare, no .tmp)",
+                file=sys.stderr,
+            )
+            return 1
+        print(
+            f"crash smoke: durable dir bounded ({len(snapshots)} snapshot(s), "
+            f"{len(spares)} spare, no .tmp)"
+        )
         return 0
 
 

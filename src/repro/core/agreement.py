@@ -88,15 +88,16 @@ makes an untested combination loud, not invisible.
 
 The *shared export* column is the ``supports_shared_export`` flag: the
 backend can ship its precomputed state (packed planes, count matrices, vote
-table, triple tensor where cached) through ``multiprocessing.shared_memory``
-so process shards attach views instead of rebuilding.  The *executor tiers*
-column lists which :mod:`repro.core.parallel` tiers can engage: the thread
-tier needs only a vectorized backend (chunks share the parent's statistics
-object, with every lazy cache pre-materialized), the process tier
-additionally needs the shared export.  ``shards="auto"`` picks the tier
-from the :func:`~repro.core.parallel.auto_shard_choice` cost model; see the
-:class:`~repro.core.m_worker.MWorkerEstimator` determinism contract for the
-size thresholds and serial-fallback guards.
+table) through ``multiprocessing.shared_memory`` so process shards attach
+views instead of rebuilding; the process executor adds the dense backend's
+triple tensor to what it ships, which the export itself leaves out.  The
+*executor tiers* column lists which :mod:`repro.core.parallel` tiers can
+engage: the thread tier needs only a vectorized backend (chunks share the
+parent's statistics object, with every lazy cache pre-materialized), the
+process tier additionally needs the shared export.  ``shards="auto"`` picks
+the tier from the :func:`~repro.core.parallel.auto_shard_choice` cost
+model; see the :class:`~repro.core.m_worker.MWorkerEstimator` determinism
+contract for the size thresholds and serial-fallback guards.
 
 The *footprints* column is the dependency protocol the incremental
 evaluator consumes.  On the vectorized backends ``evaluate_worker_range``
@@ -120,12 +121,14 @@ at construction.
 
 The *durability* column describes how a crashed durable session
 (:mod:`repro.serve.durable`) gets its statistics back.  The vectorized
-backends persist their full precomputed state in the periodic snapshots —
+backends persist their precomputed state in the periodic snapshots —
 the same packed planes / count matrices / vote tables the shared-export
 protocol ships between processes, restored through
 ``attach_shared_state`` with no count recomputation — so resume pays only
-the WAL delta beyond the newest snapshot.  The dict path has no arrays to
-snapshot; its statistics are rebuilt by replaying responses (the response
+the WAL delta beyond the newest snapshot.  The dense triple tensor is not
+persisted (it is derived from the attempt plane and dropped by every
+batch); the restored backend rebuilds it on first use.  The dict path has
+no arrays to snapshot; its statistics are rebuilt by replaying responses (the response
 triples themselves *are* snapshotted, so a dict-backed resume is still
 O(delta) over the WAL, it just re-derives pair counts from the restored
 matrix).  Either way the restored backend keeps delta-updating in place,

@@ -495,20 +495,22 @@ class IncrementalEvaluator:
         The arrays are the response records and gold labels of the matrix
         plus — when a vectorized backend is live — its full
         ``export_shared_state()`` payload (packed planes, count matrices,
-        vote table, dense triple tensor where cacheable) under
-        ``backend.``-prefixed keys, so :meth:`from_state` restores the
-        derived caches without rebuilding any count.  Clean cached
-        estimates whose dependencies live in the ledger are persisted too
-        (``cache.*`` arrays: interval rows, CSR triple records, weights)
-        together with the ledger itself (``deps.*`` arrays), so a resumed
-        session serves warm intervals for untouched workers with zero
-        recomputation — float64 round-trips exactly, making restored
-        estimates bit-identical to the ones exported.  Workers tracked by
-        the legacy observer (dict-backend recomputes) restore cold; they
-        are recomputed deterministically from the counts, so omitting them
-        cannot change a served interval (only when it is recomputed).
-        Exporting materializes the backend's lazy caches as a side effect,
-        exactly like the process-sharding export this reuses.
+        vote table) under ``backend.``-prefixed keys, so :meth:`from_state`
+        restores the count caches without rebuilding any count.  The dense
+        triple tensor is left out: it is derived from the attempt plane,
+        every applied batch drops it, and the restored backend rebuilds it
+        lazily (exact integer counts) the first time an estimate needs it.
+        Clean cached estimates whose dependencies live in the ledger are
+        persisted too (``cache.*`` arrays: interval rows, CSR triple
+        records, weights) together with the ledger itself (``deps.*``
+        arrays), so a resumed session serves warm intervals for untouched
+        workers with zero recomputation — float64 round-trips exactly,
+        making restored estimates bit-identical to the ones exported.
+        Workers tracked by the legacy observer (dict-backend recomputes)
+        restore cold; they are recomputed deterministically from the counts,
+        so omitting them cannot change a served interval (only when it is
+        recomputed). Exporting materializes the backend's lazy caches as a
+        side effect, exactly like the process-sharding export this reuses.
         """
         matrix = self._matrix
         workers, tasks, labels = matrix.to_arrays()

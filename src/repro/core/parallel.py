@@ -10,11 +10,10 @@ both and generalizes the machinery to every vectorized backend:
 
 * **Shared-state export** — every backend with
   ``supports_shared_export`` (dense, sparse *and* bitset) serializes its
-  precomputed state (packed bit planes, count matrices, vote table, the
-  dense triple-count tensor) into ``multiprocessing.shared_memory``
-  segments via
-  :meth:`~repro.data.dense_backend.AgreementBackendBase.export_shared_state`;
-  shard processes attach read-only views
+  precomputed state (packed bit planes, count matrices, vote table) via
+  :meth:`~repro.data.dense_backend.AgreementBackendBase.export_shared_state`,
+  plus the dense triple-count tensor, into ``multiprocessing.shared_memory``
+  segments; shard processes attach read-only views
   (:meth:`~repro.data.dense_backend.AgreementBackendBase.attach_shared_state`)
   instead of rebuilding anything.
 * **A process-wide reusable executor** — :class:`ShardExecutor` lazily
@@ -595,6 +594,12 @@ def evaluate_all_process(
         "process-sharded evaluation requires a backend with shared-state export"
     )
     exports = dict(backend.export_shared_state())
+    # Shards would each rebuild the triple tensor the export leaves out;
+    # build it once here and ship it (None: the backend has none or it
+    # exceeds the memory cap).
+    tensor = backend.triple_count_tensor()
+    if tensor is not None:
+        exports["triple_tensor"] = tensor
     exports["task_counts"] = _popcount(backend._packed_rows).sum(
         axis=1, dtype=np.int64
     )

@@ -585,8 +585,9 @@ class AgreementBackendBase:
 
         The export protocol behind ``supports_shared_export``: the parent
         process materializes its precomputed state (storage planes, count
-        matrices, vote table, the triple tensor where cached) and returns
-        the arrays by name; :mod:`repro.core.parallel` copies each into a
+        matrices, vote table) and returns the arrays by name;
+        :mod:`repro.core.parallel` copies each — plus the dense triple
+        tensor from :meth:`triple_count_tensor`, where it fits — into a
         ``multiprocessing.shared_memory`` segment and shard processes
         rebuild an equivalent backend over zero-copy views with
         :meth:`attach_shared_state` — no count is ever recomputed in a
@@ -598,7 +599,9 @@ class AgreementBackendBase:
         (prefixed ``backend.`` in the snapshot manifest) and a resume hands
         *writable copies* back to ``attach_shared_state``, so the restored
         backend skips the from-scratch count rebuild and keeps
-        delta-updating the attached arrays in place.
+        delta-updating the attached arrays in place.  Derived state the
+        export leaves out (the triple tensor) is rebuilt lazily on first
+        use, with the same exact integer counts.
         """
         raise NotImplementedError(
             f"backend {self.name!r} does not support shared-state export"
@@ -944,13 +947,18 @@ class DenseAgreementBackend(AgreementBackendBase):
     # ------------------------------------------------------------------ #
 
     def export_shared_state(self) -> dict[str, np.ndarray]:
-        """Storage, count matrices, packed rows, votes and (when cached
-        or cacheable) the triple tensor — everything shards would
-        otherwise rebuild.  Materializes lazily-built state as a side
-        effect, which is the point: pay each build once in the parent
-        instead of once per shard.
+        """Storage, count matrices, packed rows and votes.  Materializes
+        lazily-built state as a side effect, which is the point: pay each
+        build once in the parent instead of once per shard.
+
+        The ``m^3`` triple tensor is derived from ``attempts`` alone and
+        is not part of the export: every streamed batch drops it, so a
+        durable snapshot would rebuild it only to write it.  The process
+        executor adds it under ``"triple_tensor"`` itself, and
+        :meth:`attach_shared_state` adopts it when present (shards, and
+        snapshots written before it was dropped).
         """
-        exports = {
+        return {
             "attempts": self._attempts,
             "labels": self._labels,
             "common": self.common_counts,
@@ -958,10 +966,6 @@ class DenseAgreementBackend(AgreementBackendBase):
             "packed": self._packed_rows,
             "task_votes": self.task_votes,
         }
-        tensor = self.triple_count_tensor()
-        if tensor is not None:
-            exports["triple_tensor"] = tensor
-        return exports
 
     @classmethod
     def attach_shared_state(

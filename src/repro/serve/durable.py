@@ -63,12 +63,47 @@ A single binary file: one JSON header line (format id, version, the
 evaluator meta including the last applied sequence, and an array manifest
 of name/dtype/shape in payload order), the raw C-contiguous bytes of each
 manifest array concatenated in order, and a fixed-width footer
-``sha256:<hex>\\n`` over everything before it.  Snapshots are written to a
-``.tmp`` sibling, flushed, fsynced and atomically renamed into place —
-visible-or-absent, never partial.  Loading verifies the checksum and
-returns fresh *writable* array copies, so the restored backend caches stay
-delta-updatable; a snapshot that fails validation is skipped in favour of
-the next older one (pure WAL replay when none survives).
+``sha256:<hex>\\n`` over everything before it.  Loading verifies the
+checksum and returns fresh *writable* array copies, so the restored backend
+caches stay delta-updatable; a snapshot that fails validation is skipped in
+favour of the next older one (pure WAL replay when none survives).
+
+The payload is the evaluator's state, not everything derived from it: the
+dense backend's ``m^3`` triple-count tensor is rebuilt from the restored
+attempt plane on first use (exact integer counts) instead of being written
+with every snapshot.  Snapshots that do carry a ``backend.triple_tensor``
+array (written before it was dropped) still load and resume unchanged.
+
+Snapshots are written to a ``snapshot-<seq>.snap.tmp`` sibling, fsynced,
+atomically renamed into place and the directory fsynced — visible or
+absent, never partial.  Pruning keeps the ``keep_snapshots`` newest and
+*recycles* the file it retires instead of unlinking it: the retired
+snapshot is renamed to the single spare name ``snapshot.spare`` (which the
+``snapshot-*.snap`` glob never matches), and the next snapshot renames the
+spare to its ``.tmp`` name and overwrites it in place, truncating it to
+the new length.  On a filesystem that trims freed blocks synchronously
+(ext4 mounted with ``discard``) an unlink of a multi-megabyte file stalls
+for tens of milliseconds, directly or at the next WAL fsync; in steady
+state the recycle protocol frees no block at all.  The first snapshots of
+a fresh directory, before any is retired, are new files.  A crash at any
+step leaves one of these states, none of which loses a snapshot that
+validated before the step:
+
+* the spare renamed to ``.tmp`` but not yet (fully) overwritten — a
+  ``.tmp`` file, invisible to loaders;
+* the ``.tmp`` written but not renamed — likewise invisible;
+* the new snapshot renamed into place — complete, since its data was
+  fsynced before the rename;
+* a retired snapshot not yet renamed to the spare — one snapshot more
+  than ``keep_snapshots``, retired by the next prune.
+
+Resume (``open(resume=True)``) clears the residue: it keeps the existing
+spare, or else one leftover ``.tmp`` file as the spare, and unlinks any
+other ``.tmp``.  An I/O error at any step of a WAL append or a snapshot
+propagates, which stops the session.  A failed append first closes the
+log and cuts it back to its last acknowledged record (best effort: the cut
+is itself I/O), so a batch whose append failed is not replayed by a later
+resume.
 
 The resume determinism contract lives with the streaming contract in
 :mod:`repro.core.agreement`: a resumed session is bit-identical to one
@@ -78,12 +113,13 @@ cross-backend differential suite and the crash-smoke CI job.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
 import zlib
 from pathlib import Path
-from typing import IO, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -111,6 +147,11 @@ LEGACY_SEGMENT_GLOB = "wal-*.ndjson"
 SNAPSHOT_FORMAT = "repro-durable-snapshot"
 SNAPSHOT_VERSION = 1
 SNAPSHOT_SUFFIX = ".snap"
+SNAPSHOT_GLOB = f"snapshot-*{SNAPSHOT_SUFFIX}"
+#: Snapshots that survive pruning unless ``keep_snapshots`` says otherwise.
+DEFAULT_KEEP_SNAPSHOTS = 2
+#: The retired snapshot file kept for reuse; outside ``SNAPSHOT_GLOB``.
+SPARE_NAME = "snapshot.spare"
 
 #: Fixed-width snapshot footer: b"sha256:" + 64 hex digits + b"\n".
 _FOOTER_LEN = 7 + 64 + 1
@@ -124,20 +165,47 @@ def _record_crc(seq: list[int], events: list[list[int]]) -> int:
     return zlib.crc32(_canonical({"seq": seq, "events": events}))
 
 
+def _encode_record(seq: list[int], events: list[list[int]]) -> bytes:
+    """One WAL line (newline included), encoding the record once.
+
+    The record's keys sort as ``crc < events < seq``, so the canonical
+    text the CRC covers is the line minus its leading ``"crc"`` member:
+    splicing that member in front gives exactly
+    ``json.dumps(record, sort_keys=True, separators=(",", ":"))``.
+    """
+    canonical = _canonical({"events": events, "seq": seq})
+    return b'{"crc":%d,%s\n' % (zlib.crc32(canonical), canonical[1:])
+
+
+def _write_all(fd: int, data) -> int:
+    """Write every byte of ``data`` (a bytes-like object) to ``fd``."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
+    return len(data)
+
+
 # --------------------------------------------------------------------------- #
 # Snapshot files
 # --------------------------------------------------------------------------- #
 
 
 def write_snapshot_file(
-    path: str | Path, meta: dict, arrays: dict[str, np.ndarray]
+    path: str | Path,
+    meta: dict,
+    arrays: dict[str, np.ndarray],
+    *,
+    recycle: str | Path | None = None,
 ) -> Path:
     """Atomically write one snapshot file (temp sibling + rename).
 
     The caller's ``meta`` must be JSON-serializable; arrays are stored as
     raw C-contiguous bytes in manifest order.  The file only ever appears
     under ``path`` complete and checksummed — a crash mid-write leaves at
-    most a ``.tmp`` sibling, which loaders ignore.
+    most a ``.tmp`` sibling, which loaders ignore.  When ``recycle`` names
+    an existing file it is renamed to the ``.tmp`` sibling and overwritten
+    in place (then truncated to the snapshot's length) instead of a new
+    file being allocated; a missing ``recycle`` file means a new one.
     """
     path = Path(path)
     manifest = []
@@ -151,21 +219,31 @@ def write_snapshot_file(
                 "shape": list(contiguous.shape),
             }
         )
-        chunks.append(contiguous.tobytes())
+        # A flat byte view: hashed and written without a copy.
+        chunks.append(contiguous.reshape(-1).view(np.uint8))
     header = {
         "format": SNAPSHOT_FORMAT,
         "version": SNAPSHOT_VERSION,
         "meta": meta,
         "arrays": manifest,
     }
-    payload = json.dumps(header, sort_keys=True).encode() + b"\n" + b"".join(chunks)
-    digest = hashlib.sha256(payload).hexdigest()
+    chunks.insert(0, json.dumps(header, sort_keys=True).encode() + b"\n")
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    chunks.append(b"sha256:" + digest.hexdigest().encode() + b"\n")
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(payload)
-        handle.write(b"sha256:" + digest.encode() + b"\n")
-        handle.flush()
-        os.fsync(handle.fileno())
+    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+    if recycle is not None and os.path.exists(recycle):
+        os.replace(recycle, tmp)
+        flags = os.O_WRONLY  # overwrite the recycled blocks in place
+    fd = os.open(tmp, flags, 0o644)
+    try:
+        size = sum(_write_all(fd, chunk) for chunk in chunks)
+        os.ftruncate(fd, size)
+        os.fsync(fd)
+    finally:
+        os.close(fd)
     os.replace(tmp, path)
     _fsync_directory(path.parent)
     return path
@@ -223,8 +301,11 @@ def _fsync_directory(directory: Path) -> None:
         return
     try:
         os.fsync(fd)
-    except OSError:  # pragma: no cover - platform quirk
-        pass
+    except OSError as error:
+        # Filesystems that cannot fsync a directory say so with EINVAL;
+        # any other error is a failed write and must surface.
+        if error.errno not in (errno.EINVAL, errno.ENOTSUP):
+            raise
     finally:
         os.close(fd)
 
@@ -261,7 +342,7 @@ class DurableStore:
         *,
         snapshot_every: int | None = None,
         fsync: bool = True,
-        keep_snapshots: int = 2,
+        keep_snapshots: int = DEFAULT_KEEP_SNAPSHOTS,
     ) -> None:
         if snapshot_every is not None and snapshot_every < 1:
             raise ConfigurationError(
@@ -275,7 +356,8 @@ class DurableStore:
         self.snapshot_every = snapshot_every
         self.fsync = fsync
         self.keep_snapshots = keep_snapshots
-        self._log: IO[str] | None = None
+        #: Append-only descriptor of the open log (None when closed).
+        self._log: int | None = None
         self._total_batches = 0
         self._since_snapshot = 0
         #: Byte length of the open log (header + valid records).  Recorded
@@ -301,6 +383,11 @@ class DurableStore:
     def wal_path(self) -> Path:
         return self.directory / WAL_NAME
 
+    @property
+    def spare_path(self) -> Path:
+        """The retired snapshot file the next snapshot overwrites."""
+        return self.directory / SPARE_NAME
+
     @classmethod
     def has_state(cls, directory: str | Path) -> bool:
         """True when ``directory`` holds resumable state (WAL or snapshot)."""
@@ -308,7 +395,7 @@ class DurableStore:
         wal = directory / WAL_NAME
         if wal.exists() and wal.stat().st_size > 0:
             return True
-        return any(directory.glob(f"snapshot-*{SNAPSHOT_SUFFIX}"))
+        return any(directory.glob(SNAPSHOT_GLOB))
 
     @staticmethod
     def refuse_legacy_layout(directory: str | Path) -> None:
@@ -332,9 +419,7 @@ class DurableStore:
 
     def snapshot_paths(self) -> list[Path]:
         """Snapshot files, newest (highest applied sequence) first."""
-        return sorted(
-            self.directory.glob(f"snapshot-*{SNAPSHOT_SUFFIX}"), reverse=True
-        )
+        return sorted(self.directory.glob(SNAPSHOT_GLOB), reverse=True)
 
     # -- lifecycle ------------------------------------------------------- #
 
@@ -345,7 +430,9 @@ class DurableStore:
         holds state — starting a new sequence numbering over live history
         would corrupt it; resume instead.  ``resume=True`` truncates the
         log back to its last valid record (discarding any crash tail found
-        by :meth:`read_batches`) before reopening for append.
+        by :meth:`read_batches`) before reopening for append, and clears
+        the snapshot residue of a crash: one leftover ``.tmp`` file becomes
+        the spare when there is none, any other is unlinked.
         """
         if self._log is not None:
             return
@@ -362,22 +449,36 @@ class DurableStore:
                 valid_bytes = self._scan_valid_bytes
             else:
                 _, _, valid_bytes = self._scan_log()
-            with open(self.wal_path, "r+b") as handle:
-                handle.truncate(valid_bytes)
-        self._log = open(self.wal_path, "a", encoding="utf-8")
-        self._wal_bytes = self.wal_path.stat().st_size
+            os.truncate(self.wal_path, valid_bytes)
+        if resume:
+            self._adopt_snapshot_residue()
+        self._log = os.open(
+            self.wal_path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644
+        )
+        self._wal_bytes = os.fstat(self._log).st_size
         if self._wal_bytes == 0:
             header = json.dumps({"format": WAL_FORMAT, "version": WAL_VERSION})
-            self._log.write(header + "\n")
-            self._log.flush()
+            self._wal_bytes = _write_all(self._log, header.encode() + b"\n")
             if self.fsync:
-                os.fsync(self._log.fileno())
-            self._wal_bytes = len(header) + 1
+                os.fsync(self._log)
+
+    def _adopt_snapshot_residue(self) -> None:
+        """Keep one crash-leftover ``.tmp`` snapshot as the spare (the
+        largest, when there is no spare yet) and unlink the others."""
+        leftovers = sorted(
+            self.directory.glob(SNAPSHOT_GLOB + ".tmp"),
+            key=lambda path: path.stat().st_size,
+            reverse=True,
+        )
+        if leftovers and not self.spare_path.exists():
+            os.replace(leftovers.pop(0), self.spare_path)
+        for path in leftovers:
+            path.unlink(missing_ok=True)
 
     def close(self) -> None:
         """Close the log handle (idempotent)."""
         if self._log is not None:
-            self._log.close()
+            os.close(self._log)
             self._log = None
 
     # -- WAL append (the applier's pre-apply hook) ----------------------- #
@@ -392,20 +493,29 @@ class DurableStore:
 
         Called by the session's applier *before* ``apply_batch``: once this
         returns, a crash at any later point replays the batch from the log,
-        so a flush acknowledged after the apply can never lose events.
+        so a flush acknowledged after the apply can never lose events.  If
+        the write or the fsync fails, the store closes the log and cuts it
+        back to its last complete record before the error propagates, so
+        the failed batch is not replayed on resume either.
         """
         if self._log is None:
             raise ConfigurationError("the durable store is not open")
-        seq = [int(first_seq), int(last_seq)]
-        payload = [[int(w), int(t), int(label)] for w, t, label in events]
-        record = {"seq": seq, "events": payload, "crc": _record_crc(seq, payload)}
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        self._log.write(line)
-        self._log.write("\n")
-        self._log.flush()
-        if self.fsync:
-            os.fsync(self._log.fileno())
-        self._wal_bytes += len(line) + 1
+        line = _encode_record(
+            [int(first_seq), int(last_seq)],
+            [[int(w), int(t), int(label)] for w, t, label in events],
+        )
+        try:
+            _write_all(self._log, line)
+            if self.fsync:
+                os.fsync(self._log)
+        except BaseException:
+            self.close()
+            try:
+                os.truncate(self.wal_path, self._wal_bytes)
+            except OSError:
+                pass  # the original error is the one to report
+            raise
+        self._wal_bytes += len(line)
 
     # -- WAL replay ------------------------------------------------------ #
 
@@ -563,7 +673,13 @@ class DurableStore:
     def write_snapshot(
         self, evaluator: "IncrementalEvaluator", applied_seq: int
     ) -> Path:
-        """Write one snapshot of the evaluator at ``applied_seq`` and prune."""
+        """Write one snapshot of the evaluator at ``applied_seq`` and prune.
+
+        The snapshot overwrites the spare file when there is one; pruning
+        then renames the newest retired snapshot to the spare name and
+        unlinks only the retired snapshots beyond it (none in steady
+        state), so no block is freed.
+        """
         meta, arrays = evaluator.export_state()
         meta["applied_seq"] = int(applied_seq)
         meta["applied_batches"] = self._total_batches
@@ -575,12 +691,12 @@ class DurableStore:
             else (self.wal_path.stat().st_size if self.wal_path.exists() else 0)
         )
         path = self.directory / f"snapshot-{int(applied_seq):012d}{SNAPSHOT_SUFFIX}"
-        write_snapshot_file(path, meta, arrays)
+        write_snapshot_file(path, meta, arrays, recycle=self.spare_path)
         self._since_snapshot = 0
         self.snapshots_written += 1
         for stale in self.snapshot_paths()[self.keep_snapshots :]:
-            try:
-                stale.unlink()
-            except OSError:  # pragma: no cover - concurrent cleanup
-                pass
+            if self.spare_path.exists():
+                stale.unlink(missing_ok=True)
+            else:
+                os.replace(stale, self.spare_path)
         return path
